@@ -108,6 +108,7 @@ __all__ = [
     "min_vertex_cover",
     "parse_edgelist",
     "parse_enewick",
+    "reticulation_saturating",
     "rooted_spanning_tree",
     "serialize_edgelist",
     "serialize_enewick",

@@ -18,9 +18,9 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
 
-from .matching import BipartiteGraph, max_matching, min_vertex_cover
+from .matching import BipartiteGraph, max_matching, min_vertex_cover, zigzag_trails
 from .network import PhyloNetwork
-from .treebased import _failure_witness, deviation_indices
+from .treebased import _failure_witness, _partition_from_matching, deviation_indices
 
 DEFAULT_EXHAUSTIVE_BOUND = 18
 
@@ -64,15 +64,7 @@ def max_antichain(net: PhyloNetwork) -> tuple[tuple[int, ...], tuple[tuple[int, 
     adj = tuple(tuple(v for v in range(n) if desc[u] >> v & 1) for u in range(n))
     closure = BipartiteGraph(left_ids=ids, right_ids=ids, adj=adj)
     m = max_matching(closure)
-
-    chains = []
-    for start in m.unmatched_right:
-        chain = [start]
-        v = m.left_match[start]
-        while v != -1:
-            chain.append(v)
-            v = m.left_match[v]
-        chains.append(tuple(chain))
+    chains = _partition_from_matching(net, m).paths
 
     cover_l, cover_r = min_vertex_cover(closure, m)
     excluded = set(cover_l) | set(cover_r)
@@ -80,7 +72,7 @@ def max_antichain(net: PhyloNetwork) -> tuple[tuple[int, ...], tuple[tuple[int, 
 
     assert len(antichain) == len(chains), "Dilworth witnesses disagree"
     assert is_antichain(net, antichain)
-    return antichain, tuple(chains)
+    return antichain, chains
 
 
 @dataclass(frozen=True)
@@ -295,9 +287,10 @@ def verify_temporal_map(net: PhyloNetwork, tm: TemporalMap) -> None:
     retic = set(net.reticulations)
     for u, v in net.edges:
         if v in retic:
-            assert tm.ranks[u] == tm.ranks[v], f"reticulation edge ({u},{v}) not level"
-        else:
-            assert tm.ranks[u] < tm.ranks[v], f"tree edge ({u},{v}) not increasing"
+            if tm.ranks[u] != tm.ranks[v]:
+                raise ValueError(f"reticulation edge ({u},{v}) not level")
+        elif tm.ranks[u] >= tm.ranks[v]:
+            raise ValueError(f"tree edge ({u},{v}) not increasing")
 
 
 def is_temporal(net: PhyloNetwork) -> tuple[bool, TemporalMap | None]:
@@ -376,10 +369,11 @@ def temporal_violating_antichain(net: PhyloNetwork) -> tuple[int, ...]:
     ok, _ = is_temporal(net)
     if not ok:
         raise ValueError("network is not temporal")
-    if deviation_indices(net).p == 0:
+    fences = zigzag_trails(net)[1]
+    if not fences:
         raise ValueError("network is tree-based; no violating antichain exists")
 
-    witness = _failure_witness(net)
+    witness = _failure_witness(net, fences[0])
     u_set = witness.u1
     q, q2 = u_set[0], u_set[-1]
     k = len(witness.u2)

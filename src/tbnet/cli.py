@@ -59,19 +59,24 @@ def _detect_format(path: str, explicit: str | None) -> str:
         f"cannot infer format from {path!r}; pass --format enewick|edgelist")
 
 
-def _read_input(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
+def _read_input(path: str) -> tuple[str, str]:
+    """The input text and the SHA-256 of its UTF-8 encoding."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        # stdin may decode bad bytes to surrogates, which fail to encode
+        return text, hashlib.sha256(text.encode()).hexdigest()
+    except UnicodeError as exc:
+        raise CliError(f"input is not UTF-8 text: {'stdin' if path == '-' else path}") from exc
     except OSError as exc:
         raise CliError(str(exc)) from exc
 
 
 def _load(args) -> tuple[PhyloNetwork, str]:
-    text = _read_input(args.input)
-    digest = hashlib.sha256(text.encode()).hexdigest()
+    text, digest = _read_input(args.input)
     fmt = _detect_format(args.input, args.format)
     net = parse_enewick(text) if fmt == "enewick" else parse_edgelist(text)
     return net, digest

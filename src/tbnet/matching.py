@@ -1,17 +1,19 @@
-"""Bipartite matching machinery and the two graphs built from a network.
+"""The zig-zag trail walk, and general bipartite matching.
 
-``build_gn`` makes the bipartite graph on two copies of the vertex set with
-an edge (u-left, v-right) for every network edge (u, v); maximum matchings
-in it correspond to partitions of the vertices into directed paths.
+The path graph G_N (``build_gn``) has an edge (u-left, v-right) for every
+arc (u, v); its maximum matchings give minimum path partitions.  In a
+binary network G_N has maximum degree 2, so it splits into maximal zig-zag
+trails t0 -> h1 <- t1 -> h2 <- ...: crowns (cycles) and fences (paths).
+:func:`zigzag_trails` walks them in one linear pass and is the engine of
+every tree-based query.  Its W-fences, with out-degree-1 tails at both
+ends, number exactly p, and each one is a failure witness.
 
-``build_zn`` makes the bipartite graph between tree vertices that parent a
-reticulation (the root included) and the reticulations themselves; a
-matching saturating the reticulation side decides tree-basedness.
-
-The matcher is Hopcroft-Karp with deterministic tie-breaking: left vertices
-are processed in ascending order and adjacency lists are kept sorted, so the
-same graph always yields the same matching.  Everything is iterative; no
-recursion depth limits apply at large sizes.
+Hopcroft-Karp (:func:`max_matching`) and König's cover serve the antichain
+closure.  With ``build_gn``, ``build_zn`` (reticulation parents against
+reticulations) and ``reticulation_saturating`` they are also the
+independent reference route the walk is tested against.  The matcher
+breaks ties deterministically (ascending left vertices, sorted adjacency)
+and, like the walk, is iterative throughout.
 """
 
 from __future__ import annotations
@@ -44,11 +46,6 @@ class BipartiteGraph:
     @property
     def n_right(self) -> int:
         return len(self.right_ids)
-
-    def edges(self):
-        for i, row in enumerate(self.adj):
-            for j in row:
-                yield (i, j)
 
 
 @dataclass(frozen=True)
@@ -135,13 +132,16 @@ def max_matching(g: BipartiteGraph) -> Matching:
             if match_l[u] == -1:
                 dfs(u)
 
-    pairs = tuple((u, match_l[u]) for u in range(n_left) if match_l[u] != -1)
+    return _matching(match_l, match_r)
+
+
+def _matching(match_l: list[int], match_r: list[int]) -> Matching:
     return Matching(
-        pairs=pairs,
+        pairs=tuple((u, v) for u, v in enumerate(match_l) if v != -1),
         left_match=tuple(match_l),
         right_match=tuple(match_r),
-        unmatched_left=tuple(u for u in range(n_left) if match_l[u] == -1),
-        unmatched_right=tuple(v for v in range(n_right) if match_r[v] == -1),
+        unmatched_left=tuple(u for u, v in enumerate(match_l) if v == -1),
+        unmatched_right=tuple(v for v, u in enumerate(match_r) if u == -1),
     )
 
 
@@ -191,8 +191,8 @@ def assert_maximum(g: BipartiteGraph, m: Matching) -> None:
 def min_vertex_cover(g: BipartiteGraph, m: Matching) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Minimum vertex cover from a maximum matching (Koenig's construction).
 
-    Returns (left indices, right indices).  Serves as the failure
-    certificate: every edge touches the cover and |cover| = |matching|.
+    Returns (left indices, right indices): every edge touches the cover
+    and |cover| = |matching|.
     """
     visited_l = [False] * g.n_left
     visited_r = [False] * g.n_right
@@ -243,49 +243,60 @@ def reticulation_saturating(net: PhyloNetwork) -> tuple[bool, Matching]:
     return m.size == zn.n_right, m
 
 
-def _zn_neighbors(net: PhyloNetwork) -> dict[int, list[int]]:
-    """Adjacency of the saturation graph on network vertex ids (undirected)."""
-    retic = set(net.reticulations)
-    nbrs: dict[int, list[int]] = {r: [] for r in retic}
-    for t in tree_vertices_with_reticulation_child(net):
-        nbrs[t] = []
-        for c in net.children[t]:
-            if c in retic:
-                nbrs[t].append(c)
-                nbrs[c].append(t)
-    for v in nbrs:
-        nbrs[v].sort()
-    return nbrs
+def zigzag_trails(net: PhyloNetwork) -> tuple[Matching, tuple[tuple[int, ...], ...]]:
+    """Walk the maximal zig-zag trails of the path graph once.
+
+    Fences are walked from an end, smallest-id end first, then crowns.
+    Every other arc of a trail, from its first, joins the matching: no
+    matching meets a path or even cycle of e arcs in more than ceil(e/2)
+    arcs, so this is a maximum matching of ``build_gn(net)``.
+
+    Also returns the W-fences as sequences t0, h1, t1, ..., hk, tk, each
+    starting at its smaller end reticulation (h1 or hk; at the smaller end
+    tail when k = 1) and sorted by it: the first is the failure witness.
+    """
+    n = net.num_vertices
+    nbrs = (net.children, net.parents)  # side 0: tails (left), 1: heads (right)
+    match = ([-1] * n, [-1] * n)
+    seen = (bytearray(n), bytearray(n))
+
+    def walk(v: int, side: int) -> list[int]:
+        trail, prev, take = [], -1, True
+        while True:
+            trail.append(v)
+            seen[side][v] = 1
+            ws = nbrs[side][v]
+            w = ws[-1] if ws[0] == prev else ws[0]
+            if w == prev or seen[1 - side][w]:
+                return trail  # the far end of a fence, or a crown closed
+            if take:
+                match[side][v] = w
+                match[1 - side][w] = v
+            take = not take
+            prev, v, side = v, w, 1 - side
+
+    out_degree, in_degree = net.out_degree, net.in_degree
+    fences = []
+    for v in range(n):
+        if out_degree[v] == 1 and not seen[0][v]:
+            trail = walk(v, 0)
+            if len(trail) % 2:  # ends at a tail too: a W-fence
+                if (trail[1], trail[0]) > (trail[-2], trail[-1]):
+                    trail.reverse()
+                fences.append(tuple(trail))
+        if in_degree[v] == 1 and not seen[1][v]:
+            walk(v, 1)
+    for v in range(n):
+        if out_degree[v] == 2 and not seen[0][v]:
+            walk(v, 0)
+    fences.sort(key=lambda f: f[1])
+    return _matching(*match), tuple(fences)
 
 
 def find_rr_path(net: PhyloNetwork) -> tuple[int, ...] | None:
-    """A maximal path of the saturation graph starting and ending at
-    reticulations, or None if there is none.
-
-    Every vertex of the saturation graph has degree at most 2 (a
-    reticulation has at most two tree-vertex parents, a tree vertex at most
-    two reticulation children), so its components are simple paths and
-    cycles.  A maximal path with both endpoints on the reticulation side is
-    exactly a path component whose two ends are reticulations; an isolated
-    reticulation counts as the one-vertex case.  This search never looks at
-    a matching, so agreement with :func:`reticulation_saturating` is a real
-    two-route check.
-    """
-    nbrs = _zn_neighbors(net)
-    retic = set(net.reticulations)
-    for start in net.reticulations:
-        if len(nbrs[start]) >= 2:
-            continue  # interior of a component, or on a cycle
-        # Walk the component away from this endpoint.
-        path = [start]
-        prev = -1
-        cur = start
-        while True:
-            nxt = [w for w in nbrs[cur] if w != prev]
-            if not nxt:
-                break
-            prev, cur = cur, nxt[0]
-            path.append(cur)
-        if path[-1] in retic:
-            return tuple(path)
-    return None
+    """The first W-fence without its end tails, or None if there is none:
+    a maximal path of the saturation graph ``build_zn`` with reticulations
+    at both ends.  The walk uses no :func:`max_matching`, so agreement with
+    :func:`reticulation_saturating` is a real two-route check."""
+    fences = zigzag_trails(net)[1]
+    return fences[0][1:-1] if fences else None

@@ -11,19 +11,20 @@ measures quantify how far a network is from that property:
 * ``t``: the minimum number of new leaves that must be attached (by edge
   subdivision) to make the network tree-based.
 
-All three equal ``u - |X|`` where ``u`` is the number of left vertices left
-unmatched by a maximum matching of the path graph (``build_gn``), which is
-how this module computes them.  The constructions below also produce the
-witnesses: a minimum path partition, a spanning tree realizing ``l``, and a
-completion realizing ``t``.
+All three equal the number of W-fences of the path graph, which one
+zig-zag trail walk (:func:`~tbnet.matching.zigzag_trails`) counts.  The same
+walk gives the witnesses: its maximum matching yields a minimum path
+partition, a spanning tree realizing ``l`` and a completion realizing
+``t``, and its first W-fence is the failure witness.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from itertools import count
 from typing import Union
 
-from .matching import Matching, build_gn, find_rr_path, max_matching
+from .matching import Matching, zigzag_trails
 from .network import Edge, PhyloNetwork, attach_leaf
 
 
@@ -69,8 +70,7 @@ class DeviationReport:
     d: int
 
     def as_dict(self) -> dict:
-        return {"l": self.l, "p": self.p, "t": self.t,
-                "u_gn": self.u_gn, "x_size": self.x_size, "d": self.d}
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -82,12 +82,12 @@ class BaseTreeCertificate:
 
 @dataclass(frozen=True)
 class FailureWitness:
-    """Negative certificate extracted from a maximal reticulation-to-
-    reticulation path of the saturation graph.
+    """Negative certificate read off a W-fence t0, h1, t1, ..., hk, tk.
 
-    ``u1`` is the set of all parents of the path's reticulations, ``u2`` the
-    reticulations themselves; |u1| = |u2| + 1 while u1's children are exactly
-    u2, which no family of vertex-disjoint leaf-bound paths can satisfy.
+    ``rr_path`` is the fence without its end tails.  ``u1`` (the tails) is
+    the set of all parents of ``u2`` (the heads, all reticulations); |u1| =
+    |u2| + 1 while u1's children are exactly u2, which no family of
+    vertex-disjoint leaf-bound paths can satisfy.
     """
 
     rr_path: tuple[int, ...]
@@ -118,21 +118,18 @@ def _partition_from_matching(net: PhyloNetwork, m: Matching) -> PathPartition:
 def vertex_disjoint_paths(net: PhyloNetwork) -> PathPartition:
     """A minimum partition of the vertices into vertex-disjoint directed paths.
 
-    Computed from a maximum matching of the path graph: unmatched right
-    vertices start paths, matched edges chain them.  The number of paths is
-    always ``u_gn`` (= number of unmatched left vertices).
+    Computed from the trail walk's maximum matching of the path graph:
+    unmatched right vertices start paths, matched edges chain them.  The
+    number of paths is always ``u_gn`` (= number of unmatched left vertices).
     """
-    return _partition_from_matching(net, max_matching(build_gn(net)))
+    return _partition_from_matching(net, zigzag_trails(net)[0])
 
 
 def deviation_indices(net: PhyloNetwork) -> DeviationReport:
-    """Compute l, p, t (all via the matching route) plus the raw quantities."""
-    m = max_matching(build_gn(net))
-    u = len(m.unmatched_left)
-    x = len(net.leaves)
-    p = u - x
-    assert p >= 0, "matching left more vertices unmatched than labeled leaves"
-    return DeviationReport(l=p, p=p, t=p, u_gn=u, x_size=x, d=p + x)
+    """Compute l, p, t (the W-fence count) plus the raw quantities."""
+    m, fences = zigzag_trails(net)
+    p, x = len(fences), len(net.leaves)
+    return DeviationReport(l=p, p=p, t=p, u_gn=len(m.unmatched_left), x_size=x, d=p + x)
 
 
 def rooted_spanning_tree(net: PhyloNetwork) -> SpanningTree:
@@ -145,14 +142,12 @@ def rooted_spanning_tree(net: PhyloNetwork) -> SpanningTree:
     end to an unmatched-right path start would be an augmenting edge.  The
     tree's unlabeled leaves are therefore exactly the path ends outside X.
     """
-    partition = vertex_disjoint_paths(net)
-    edges: list[Edge] = []
-    for path in partition.paths:
-        for i in range(len(path) - 1):
-            edges.append((path[i], path[i + 1]))
-        start = path[0]
-        if start != net.root:
-            edges.append((net.parents[start][0], start))
+    return _spanning_tree(net, vertex_disjoint_paths(net))
+
+
+def _spanning_tree(net: PhyloNetwork, partition: PathPartition) -> SpanningTree:
+    edges = [e for path in partition.paths for e in zip(path, path[1:])]
+    edges += [(net.parents[path[0]][0], path[0]) for path in partition.paths if path[0] != net.root]
     edges.sort()
     out_used = {u for u, _ in edges}
     leaves = tuple(sorted(v for path in partition.paths for v in path if v not in out_used))
@@ -160,39 +155,30 @@ def rooted_spanning_tree(net: PhyloNetwork) -> SpanningTree:
 
 
 def is_tree_based(net: PhyloNetwork) -> tuple[bool, TreeBasedCertificate]:
-    """Decide tree-basedness and build the matching certificate.
+    """Decide tree-basedness with one trail walk and build the certificate.
 
-    Positive answers carry a base tree; negative answers carry the
-    reticulation path witness with its unsatisfiable (u1, u2) pair.
+    Positive answers carry a base tree; negative answers carry the first
+    W-fence as the witness, with its unsatisfiable (u1, u2) pair.
     """
-    report = deviation_indices(net)
-    if report.p == 0:
-        tree = rooted_spanning_tree(net)
-        assert not tree.unlabeled_leaves(net)
-        return True, BaseTreeCertificate(tree)
-    return False, _failure_witness(net)
+    m, fences = zigzag_trails(net)
+    if fences:
+        return False, _failure_witness(net, fences[0])
+    tree = _spanning_tree(net, _partition_from_matching(net, m))
+    if tree.unlabeled_leaves(net):
+        raise ValueError("no W-fence, yet the base tree has an unlabeled leaf")
+    return True, BaseTreeCertificate(tree)
 
 
-def _failure_witness(net: PhyloNetwork) -> FailureWitness:
-    path = find_rr_path(net)
-    assert path is not None, "deviation positive but no reticulation path found"
-    rs = path[0::2]
-    ts = path[1::2]
-    if len(path) == 1:
-        q, q2 = net.parents[path[0]]
-    else:
-        q = next(w for w in net.parents[path[0]] if w != path[1])
-        q2 = next(w for w in net.parents[path[-1]] if w != path[-2])
-    u1 = (q,) + ts + (q2,)
-    u2 = rs
-
+def _failure_witness(net: PhyloNetwork, fence: tuple[int, ...]) -> FailureWitness:
+    """The witness read off a W-fence t0, h1, t1, ..., hk, tk."""
+    u1, u2 = fence[0::2], fence[1::2]
     # Soundness of the witness, cheap enough to keep on.
-    retic = set(net.reticulations)
-    assert q != q2 and q in retic and q2 in retic
-    assert len(u1) == len(u2) + 1
-    assert {p for r in u2 for p in net.parents[r]} == set(u1)
-    assert {c for t in u1 for c in net.children[t]} == set(u2)
-    return FailureWitness(rr_path=path, u1=u1, u2=u2)
+    if not (len(set(u1)) == len(u2) + 1
+            and net.in_degree[u1[0]] == net.in_degree[u1[-1]] == 2
+            and {p for r in u2 for p in net.parents[r]} == set(u1)
+            and {c for t in u1 for c in net.children[t]} == set(u2)):
+        raise ValueError(f"{fence} is not a W-fence of the network")
+    return FailureWitness(rr_path=fence[1:-1], u1=u1, u2=u2)
 
 
 def check_path_partition_characterisation(net: PhyloNetwork) -> bool:
@@ -222,17 +208,17 @@ def tree_based_completion(net: PhyloNetwork) -> CompletionResult:
     Every unlabeled leaf of the constructed spanning tree gets a new pendant
     leaf on its smallest-headed out-edge.  That adds exactly ``t`` leaves,
     labeled ``attached_1``, ``attached_2``, ... in ascending order of the
-    subdivided edge's tail.  (If the input already uses such a label, the
-    attachment fails validation; the label contract is fixed.)
+    subdivided edge's tail, skipping every label the input already uses.
     """
-    tree = rooted_spanning_tree(net)
-    stuck = tree.unlabeled_leaves(net)
+    stuck = rooted_spanning_tree(net).unlabeled_leaves(net)
+    used = set(net.leaf_labels.values())
+    fresh = (name for name in (f"attached_{i}" for i in count(1)) if name not in used)
     current = net
     attached: list[Edge] = []
     labels: list[str] = []
-    for i, v in enumerate(sorted(stuck), start=1):
+    for v in sorted(stuck):
         target = (v, net.children[v][0])
-        label = f"attached_{i}"
+        label = next(fresh)
         current = attach_leaf(current, target, label)
         attached.append(target)
         labels.append(label)

@@ -1,10 +1,21 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import tbnet
 from tbnet import GenSpec, GenerationError, generate, parse_edgelist
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def run_python(*args: str, stdin: bytes | None = None) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter that imports the tbnet under test."""
+    src = str(Path(tbnet.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, *args], input=stdin, capture_output=True,
+                          env={**os.environ, "PYTHONPATH": src})
 
 
 def load_fixture(name: str):

@@ -23,7 +23,7 @@ from tbnet.oracles import (
     oracle_temporal,
 )
 
-from conftest import corpus
+from conftest import FIXTURES, corpus, run_python
 
 
 def test_is_antichain_basics(killer):
@@ -155,6 +155,21 @@ def test_is_temporal_examples(diamond, killer, temporal_nontb):
     ok, tmap = is_temporal(temporal_nontb)
     assert ok
     verify_temporal_map(temporal_nontb, tmap)
+
+
+def test_bad_temporal_map_rejected_under_optimisation():
+    # python -O strips assert statements; the check must not rely on them
+    script = (
+        "import sys\n"
+        "from tbnet import TemporalMap, parse_edgelist, verify_temporal_map\n"
+        "net = parse_edgelist(open(sys.argv[1]).read())\n"
+        "try:\n"
+        "    verify_temporal_map(net, TemporalMap((0,) * net.num_vertices))\n"
+        "except ValueError:\n"
+        "    sys.exit(3)\n"
+    )
+    proc = run_python("-O", "-c", script, str(FIXTURES / "diamond.edges"))
+    assert proc.returncode == 3, proc.stderr
 
 
 def test_nested_reticulation_parent_not_temporal():

@@ -11,7 +11,7 @@ import pytest
 from tbnet import parse_enewick, parse_edgelist, is_tree_based
 from tbnet.cli import main
 
-from conftest import FIXTURES
+from conftest import FIXTURES, run_python
 
 SCHEMA = json.loads(
     resources.files("tbnet").joinpath("report.schema.json").read_text())
@@ -52,6 +52,30 @@ def test_check_not_tree_based(capsys):
     assert len(cert["u1"]) == len(cert["u2"]) + 1
 
 
+@pytest.mark.parametrize("name, witness", [
+    ("deviation_one.edges", {"rr_path": [4, 3, 5], "u1": [2, 3, 4], "u2": [4, 5]}),
+    ("deviation_one.nwk", {"rr_path": [1, 4, 2], "u1": [2, 4, 3], "u2": [1, 2]}),
+    ("killer.edges", {"rr_path": [6, 5, 7], "u1": [3, 5, 4], "u2": [6, 7]}),
+    ("killer.nwk", {"rr_path": [4, 10, 7], "u1": [5, 10, 8], "u2": [4, 7]}),
+])
+def test_check_witness_is_pinned(capsys, name, witness):
+    code, env, _ = run_json(capsys, "check", fixture_path(name))
+    assert code == 1
+    assert env["payload"]["certificate"] == {"kind": "rr_path", **witness}
+
+
+@pytest.mark.parametrize("via_stdin", [False, True])
+def test_non_utf8_input_is_an_input_error(tmp_path, via_stdin):
+    data = b"\xff\xfe(a,b);"
+    bad = tmp_path / "bad.nwk"
+    bad.write_bytes(data)
+    proc = run_python("-m", "tbnet.cli", "check", "-" if via_stdin else str(bad),
+                      stdin=data if via_stdin else None)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(b"error:")
+    assert b"Traceback" not in proc.stderr
+
+
 def test_check_human_output(capsys):
     code, out, _ = run(capsys, "check", fixture_path("diamond.edges"))
     assert code == 0
@@ -86,6 +110,18 @@ def test_complete(capsys):
     assert payload["new_labels"] == ["attached_1"]
     completed = parse_enewick(payload["network"])
     assert is_tree_based(completed)[0]
+
+
+def test_complete_skips_labels_in_use(capsys, tmp_path):
+    text = (FIXTURES / "deviation_one.edges").read_text()
+    clash = tmp_path / "clash.edges"
+    clash.write_text(text.replace("r2 x", "r2 attached_1"))
+    code, env, _ = run_json(capsys, "complete", str(clash))
+    assert code == 0
+    assert env["payload"]["new_labels"] == ["attached_2"]
+    completed = parse_enewick(env["payload"]["network"])
+    assert is_tree_based(completed)[0]
+    assert sorted(completed.labels) == ["attached_1", "attached_2"]
 
 
 def test_complete_out_edgelist(capsys, tmp_path):

@@ -10,7 +10,7 @@ from tbnet import (
     min_vertex_cover,
     reticulation_saturating,
 )
-from tbnet.matching import assert_maximum, verify_matching
+from tbnet.matching import assert_maximum, verify_matching, zigzag_trails
 from tbnet.oracles import oracle_max_matching_size
 
 from conftest import corpus
@@ -104,12 +104,31 @@ def test_find_rr_path_deviation_one(deviation_one):
         assert (v in retic) == (i % 2 == 0)
 
 
+def test_witness_fence_has_the_smallest_end_reticulation():
+    # two W-fences: 10 -> 6 <- 9 -> 10 <- 8 (end reticulations 6 and 10)
+    # and one through reticulation 8 alone; the witness starts at 6
+    from tbnet import PhyloNetwork, deviation_indices
+    net = PhyloNetwork(
+        ((0, 3), (0, 11), (3, 7), (4, 8), (3, 4), (5, 1), (6, 2), (5, 9), (7, 5),
+         (8, 10), (7, 12), (9, 6), (10, 6), (9, 10), (11, 4), (12, 8), (11, 12)),
+        {1: "x1", 2: "x2"},
+        13,
+    )
+    assert deviation_indices(net).p == 2
+    assert find_rr_path(net) == (6, 9, 10)
+
+
 def test_two_routes_agree_on_corpus():
     for net in corpus(150, seed_base=1000):
         if net.num_vertices == 1:
             continue
         saturating, _ = reticulation_saturating(net)
         assert saturating == (find_rr_path(net) is None)
+        # the trail walk against Hopcroft-Karp on the path graph
+        gn = build_gn(net)
+        walked, fences = zigzag_trails(net)
+        assert_maximum(gn, walked)
+        assert len(fences) == len(max_matching(gn).unmatched_left) - len(net.leaves)
 
 
 def test_rr_path_is_maximal_in_zn():

@@ -13,6 +13,7 @@ from tbnet import (
     tree_based_completion,
     vertex_disjoint_paths,
 )
+from tbnet.treebased import _failure_witness
 from tbnet.oracles import (
     isomorphic,
     oracle_min_attachments,
@@ -111,6 +112,13 @@ def test_failure_witness_structure(deviation_one, killer):
         assert set(witness.u2) == set(path[0::2])
         assert {p for r in witness.u2 for p in net.parents[r]} == set(witness.u1)
         assert {c for t in witness.u1 for c in net.children[t]} == set(witness.u2)
+
+
+def test_failure_witness_rejects_a_non_fence(deviation_one):
+    # rho=0 a=1 r1=2 c=3 w=4 r2=5 x=6; the W-fence is 2, 4, 3, 5, 4
+    assert _failure_witness(deviation_one, (2, 4, 3, 5, 4)).u2 == (4, 5)
+    with pytest.raises(ValueError):
+        _failure_witness(deviation_one, (0, 2, 1))
 
 
 def test_singleton_and_two_leaf():
