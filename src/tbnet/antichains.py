@@ -8,8 +8,8 @@ tree edges, constant along reticulation edges) that property is equivalent
 to being tree-based, and a failing antichain can be constructed from any
 reticulation-to-reticulation path of the saturation graph.
 
-Vertex sets are handled as bitmasks internally; inputs and outputs are
-plain vertex-id tuples.
+Only the closure routes hold per-vertex descendant bitmasks; inputs and
+outputs are plain vertex-id tuples.
 """
 
 from __future__ import annotations
@@ -36,17 +36,26 @@ def _descendant_masks(net: PhyloNetwork) -> list[int]:
     return desc
 
 
+def _reachable(net: PhyloNetwork, sources: Iterable[int]) -> bytearray:
+    """Flags of every vertex reachable from ``sources``, sources included."""
+    seen = bytearray(net.num_vertices)
+    stack = list(sources)
+    while stack:
+        v = stack.pop()
+        if not seen[v]:
+            seen[v] = 1
+            stack.extend(net.children[v])
+    return seen
+
+
 def is_antichain(net: PhyloNetwork, vertices: Iterable[int]) -> bool:
     """True iff the given vertices are pairwise unreachable from each other."""
     members = set(vertices)
     for v in members:
         if not 0 <= v < net.num_vertices:
             raise ValueError(f"vertex {v} out of range")
-    desc = _descendant_masks(net)
-    mask = 0
-    for v in members:
-        mask |= 1 << v
-    return all(desc[v] & mask == 0 for v in members)
+    below = _reachable(net, (c for v in members for c in net.children[v]))
+    return not any(below[v] for v in members)
 
 
 def max_antichain(net: PhyloNetwork) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
@@ -56,7 +65,7 @@ def max_antichain(net: PhyloNetwork) -> tuple[tuple[int, ...], tuple[tuple[int, 
     maximum matching of the comparability graph leaves n - |M| chains; the
     vertices whose left and right copies both avoid a minimum vertex cover
     form an antichain of exactly that size, so both witnesses certify each
-    other (|antichain| == |chains| is asserted).
+    other (|antichain| == |chains| is checked).
     """
     n = net.num_vertices
     desc = _descendant_masks(net)
@@ -70,8 +79,8 @@ def max_antichain(net: PhyloNetwork) -> tuple[tuple[int, ...], tuple[tuple[int, 
     excluded = set(cover_l) | set(cover_r)
     antichain = tuple(v for v in range(n) if v not in excluded)
 
-    assert len(antichain) == len(chains), "Dilworth witnesses disagree"
-    assert is_antichain(net, antichain)
+    if len(antichain) != len(chains) or not is_antichain(net, antichain):
+        raise RuntimeError("Dilworth witnesses disagree")
     return antichain, chains
 
 
@@ -177,7 +186,8 @@ def antichain_to_leaf(net: PhyloNetwork, antichain: Iterable[int]):
                     flow.cap[arc] = 1  # consume, so shared sinks are not reused
                     break
                 arc = flow.nxt[arc]
-            assert step != -1, "flow decoding lost its way"
+            if step == -1:
+                raise RuntimeError("flow decoding lost its way")
             if step == sink:
                 break
             vertex = step // 2
@@ -372,24 +382,19 @@ def temporal_violating_antichain(net: PhyloNetwork) -> tuple[int, ...]:
     fences = zigzag_trails(net)[1]
     if not fences:
         raise ValueError("network is tree-based; no violating antichain exists")
+    return _violating_antichain(net, fences[0])
 
-    witness = _failure_witness(net, fences[0])
+
+def _violating_antichain(net: PhyloNetwork, fence: tuple[int, ...]) -> tuple[int, ...]:
+    """:func:`temporal_violating_antichain` from a W-fence of a temporal network."""
+    witness = _failure_witness(net, fence)
     u_set = witness.u1
-    q, q2 = u_set[0], u_set[-1]
-    k = len(witness.u2)
-
-    if is_antichain(net, u_set):
-        result = tuple(sorted(u_set))
-    else:
-        desc = _descendant_masks(net)
-        drop_q = any(r == q or desc[r] >> q & 1 for r in witness.u2)
-        drop_q2 = any(r == q2 or desc[r] >> q2 & 1 for r in witness.u2)
-        assert drop_q or drop_q2, "comparable pair with no reticulation route"
-        drop = {v for v, hit in ((q, drop_q), (q2, drop_q2)) if hit}
-        result = tuple(sorted(v for v in u_set if v not in drop))
-
-    assert len(result) in (k - 1, k, k + 1)
-    assert is_antichain(net, result)
+    below = _reachable(net, witness.u2)
+    drop = {v for v in (u_set[0], u_set[-1]) if below[v]}
+    result = tuple(sorted(v for v in u_set if v not in drop))
+    if not is_antichain(net, result):
+        raise RuntimeError("comparable pair with no reticulation route")
     routed, _ = antichain_to_leaf(net, result)
-    assert not routed, "constructed antichain unexpectedly reaches leaves disjointly"
+    if routed:
+        raise RuntimeError("constructed antichain unexpectedly reaches leaves disjointly")
     return result

@@ -2,8 +2,10 @@
 
 Exit codes: 0 for success (or a positive analysis answer), 1 for a negative
 analysis answer (not tree-based, property fails, not temporal), 2 for input
-or usage errors.  ``--json`` wraps every payload in a fixed envelope whose
-schema ships with the package as ``report.schema.json``.
+or usage errors, 3 for an internal error (any other exception, or a failed
+self-check), reported with its traceback.  ``--json`` wraps every payload in
+a fixed envelope whose schema ships with the package as
+``report.schema.json``.
 """
 
 from __future__ import annotations
@@ -13,20 +15,21 @@ import hashlib
 import json
 import sys
 import time
+import traceback
 
 from . import __version__
 from .antichains import (
+    _violating_antichain,
     antichain_to_leaf,
     has_antichain_to_leaf_property,
-    is_antichain,
     is_temporal,
     max_antichain,
-    temporal_violating_antichain,
 )
 from .dot import export_dot
 from .edgelist import parse_edgelist, serialize_edgelist
 from .enewick import ParseError, parse_enewick, serialize_enewick
 from .generate import GenerationError, GenSpec, generate
+from .matching import zigzag_trails
 from .network import InvalidNetworkError, PhyloNetwork
 from .treebased import (
     BaseTreeCertificate,
@@ -188,8 +191,8 @@ def cmd_complete(args) -> int:
     started = time.perf_counter()
     net, digest = _load(args)
     result = tree_based_completion(net)
-    based, _ = is_tree_based(result.network)
-    assert based, "completion must be tree-based"
+    if zigzag_trails(result.network)[1]:
+        raise RuntimeError("the completed network still has a W-fence")
     text = serialize_enewick(result.network)
     payload = {
         "attachments": len(result.attached_edges),
@@ -244,9 +247,10 @@ def cmd_antichain(args) -> int:
         return 0
     if args.set:
         members = _resolve_vertices(net, args.set)
-        if not is_antichain(net, members):
-            raise CliError(f"{list(members)} is not an antichain")
-        routed, witness = antichain_to_leaf(net, members)
+        try:
+            routed, witness = antichain_to_leaf(net, members)
+        except ValueError:
+            raise CliError(f"{list(members)} is not an antichain") from None
         payload = {"mode": "set", "set": list(members),
                    "routes_to_leaves": routed,
                    "paths": [list(p) for p in witness.paths] if witness else None}
@@ -258,8 +262,8 @@ def cmd_antichain(args) -> int:
     # --check-property
     temporal, _ = is_temporal(net)
     strategy = "temporal-shortcut" if temporal else "exhaustive"
-    try:
-        holds = has_antichain_to_leaf_property(net, mode=strategy)
+    try:  # on a temporal network the property is tree-basedness
+        holds = deviation_indices(net).p == 0 if temporal else has_antichain_to_leaf_property(net)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     payload = {"mode": "check-property", "strategy": strategy, "holds": holds}
@@ -276,8 +280,9 @@ def cmd_temporal(args) -> int:
                "ranks": list(tmap.ranks) if tmap else None,
                "violating_antichain": None}
     human = [f"temporal: {'yes' if temporal else 'no'}"]
-    if temporal and deviation_indices(net).p > 0:
-        violating = temporal_violating_antichain(net)
+    fences = zigzag_trails(net)[1] if temporal else ()
+    if fences:
+        violating = _violating_antichain(net, fences[0])
         payload["violating_antichain"] = list(violating)
         human.append(f"not tree-based; antichain with no disjoint leaf routing: "
                      f"{list(violating)}")
@@ -396,6 +401,9 @@ def main(argv=None) -> int:
     except (CliError, ParseError, InvalidNetworkError, GenerationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception:
+        print(f"internal error: {traceback.format_exc()}", file=sys.stderr, end="")
+        return 3
 
 
 if __name__ == "__main__":

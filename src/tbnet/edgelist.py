@@ -10,7 +10,7 @@ the one-vertex network.
 from __future__ import annotations
 
 from .enewick import ParseError
-from .network import Digraph, PhyloNetwork
+from .network import PhyloNetwork
 
 
 def parse_edgelist(text: str) -> PhyloNetwork:
@@ -35,7 +35,7 @@ def parse_edgelist(text: str) -> PhyloNetwork:
 
     is_parent = {u for u, _ in edges}
     labels = {vid: tok for tok, vid in ids.items() if vid not in is_parent}
-    return PhyloNetwork.from_digraph(Digraph(len(ids), tuple(edges), labels))
+    return PhyloNetwork(edges, labels, len(ids))
 
 
 def vertex_names(net: PhyloNetwork) -> list[str]:

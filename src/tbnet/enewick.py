@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import re
 
-from .network import LABEL_RE, Digraph, PhyloNetwork
+from .network import LABEL_RE, PhyloNetwork
 
 TAG_RE = re.compile(r"#H(\d+)")
 
@@ -174,7 +174,7 @@ def parse_enewick(text: str) -> PhyloNetwork:
         if tag not in hybrid_defined:
             raise ParseError(f"hybrid tag {tag} never given a subtree", text, end_offset)
 
-    return PhyloNetwork.from_digraph(Digraph(num_vertices, tuple(edges), labels))
+    return PhyloNetwork(edges, labels, num_vertices)
 
 
 def _min_leaf_labels(net: PhyloNetwork) -> list[str]:

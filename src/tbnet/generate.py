@@ -170,7 +170,8 @@ def generate(spec: GenSpec, attempts: int = 400) -> PhyloNetwork:
         stream_seed = (spec.seed ^ (attempt * 0xA5A5B5B5C5C5D5D5)) & _MASK64
         net = _build(SplitMix64(stream_seed), spec.num_leaves, spec.num_reticulations)
         expected = 2 * spec.num_leaves + 2 * spec.num_reticulations - 1
-        assert net.num_vertices == expected, "generator broke the degree identity"
+        if net.num_vertices != expected:
+            raise RuntimeError("generator broke the degree identity")
         if not spec.temporal_only or is_temporal(net)[0]:
             return net
     raise GenerationError(

@@ -6,15 +6,16 @@ vertices of in-degree 1 and out-degree 2, and reticulations of in-degree 2
 and out-degree 1.  A single labeled vertex (no edges) is allowed as the
 one-leaf degenerate case.
 
-Vertices are dense non-negative integers ``0..n-1``.  All structures are
-immutable after construction; editing operations return new objects.
+Vertices are dense non-negative integers ``0..n-1``.  Construction is one
+validating pass that also builds the adjacency and the topological order.
+All structures are immutable after construction; editing operations return
+new objects, each rebuilt, so bulk edits write the edge list once instead.
 """
 
 from __future__ import annotations
 
 import heapq
 import re
-from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from types import MappingProxyType
@@ -80,33 +81,6 @@ class Digraph:
     leaf_labels: Mapping[int, str] = field(default_factory=dict)
 
 
-def _degrees(num_vertices: int, edges: Sequence[Edge]):
-    indeg = [0] * num_vertices
-    outdeg = [0] * num_vertices
-    for u, v in edges:
-        outdeg[u] += 1
-        indeg[v] += 1
-    return indeg, outdeg
-
-
-def _has_cycle(num_vertices: int, edges: Sequence[Edge]) -> bool:
-    # Kahn's algorithm; iterative so deep networks cannot blow the stack.
-    indeg, _ = _degrees(num_vertices, edges)
-    children: list[list[int]] = [[] for _ in range(num_vertices)]
-    for u, v in edges:
-        children[u].append(v)
-    queue = deque(v for v in range(num_vertices) if indeg[v] == 0)
-    seen = 0
-    while queue:
-        u = queue.popleft()
-        seen += 1
-        for v in children[u]:
-            indeg[v] -= 1
-            if indeg[v] == 0:
-                queue.append(v)
-    return seen != num_vertices
-
-
 def validate(graph: Digraph) -> ValidationReport:
     """Check the rooted-binary-network rules and report every violation.
 
@@ -116,51 +90,75 @@ def validate(graph: Digraph) -> ValidationReport:
     when there are no edges), and leaf labels a bijection onto the
     out-degree-0 vertices, drawn from the lexicon every serializer accepts.
     """
-    n = graph.num_vertices
+    bad = _build(graph.num_vertices, graph.edges, graph.leaf_labels)[0]
+    return ValidationReport(not bad, tuple(bad))
+
+
+def _build(n: int, edges: Sequence[Edge], leaf_labels: Mapping[int, str]):
+    """Violations (as :func:`validate` reports them), child and parent
+    lists, topological order and label-to-vertex map, in one pass.  Kahn's
+    algorithm with an ascending-id heap is both the acyclicity check and the
+    stored order."""
     bad: list[Violation] = []
     if n <= 0:
-        return ValidationReport(False, (Violation("empty", (), "network has no vertices"),))
+        return [Violation("empty", (), "network has no vertices")], [], [], [], {}
 
-    for u, v in graph.edges:
+    kids: list[list[int]] = [[] for _ in range(n)]
+    pars: list[list[int]] = [[] for _ in range(n)]
+    for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
             bad.append(Violation("vertex-range", (u, v), f"edge ({u}, {v}) references a vertex outside 0..{n - 1}"))
         elif u == v:
             bad.append(Violation("self-loop", (u,), f"self-loop at vertex {u}"))
+        else:
+            kids[u].append(v)
+            pars[v].append(u)
     if bad:
-        return ValidationReport(False, tuple(bad))
+        return bad, kids, pars, [], {}
 
-    if len(set(graph.edges)) != len(graph.edges):
+    if len(set(edges)) != len(edges):
         seen: set[Edge] = set()
-        for e in graph.edges:
+        for e in edges:
             if e in seen:
                 bad.append(Violation("parallel-edge", e, f"parallel edge ({e[0]}, {e[1]})"))
             seen.add(e)
 
-    if _has_cycle(n, graph.edges):
+    indeg = [len(p) for p in pars]
+    roots = [v for v in range(n) if indeg[v] == 0]
+    heap = roots[:]  # ascending, so already a heap
+    order = []
+    while heap:
+        u = heapq.heappop(heap)
+        order.append(u)
+        for v in kids[u]:
+            indeg[v] -= 1
+            if indeg[v] == 0:
+                heapq.heappush(heap, v)
+    if len(order) != n:
         bad.append(Violation("cycle", (), "graph contains a directed cycle"))
 
-    indeg, outdeg = _degrees(n, graph.edges)
-    roots = [v for v in range(n) if indeg[v] == 0]
     if len(roots) != 1:
         bad.append(Violation("root-count", tuple(roots), f"expected exactly one in-degree-0 vertex, found {len(roots)}"))
 
-    single = n == 1 and not graph.edges
+    single = n == 1 and not edges
     for v in range(n):
-        sig = (indeg[v], outdeg[v])
+        kids[v].sort()  # the order construction keeps
+        pars[v].sort()
+        sig = (len(pars[v]), len(kids[v]))
         if single and sig == (0, 0):
             continue
         if sig not in ((0, 2), (1, 0), (1, 2), (2, 1)):
             bad.append(Violation("degree", (v,), f"vertex {v} has degree signature in={sig[0]}, out={sig[1]}"))
 
-    sinks = {v for v in range(n) if outdeg[v] == 0}
-    labeled = set(graph.leaf_labels)
+    sinks = {v for v in range(n) if not kids[v]}
+    labeled = set(leaf_labels)
     for v in sorted(labeled - sinks):
         bad.append(Violation("label-not-leaf", (v,), f"label on vertex {v}, which has out-edges"))
     for v in sorted(sinks - labeled):
         bad.append(Violation("unlabeled-leaf", (v,), f"leaf {v} has no label"))
     by_label: dict[str, int] = {}
     for v in sorted(labeled):
-        name = graph.leaf_labels[v]
+        name = leaf_labels[v]
         if not isinstance(name, str) or not LABEL_RE.fullmatch(name):
             bad.append(Violation("bad-label", (v,), f"leaf {v} has an unusable label {name!r}"))
             continue
@@ -168,25 +166,26 @@ def validate(graph: Digraph) -> ValidationReport:
             bad.append(Violation("duplicate-label", (by_label[name], v), f"label {name!r} used by vertices {by_label[name]} and {v}"))
         by_label[name] = v
 
-    return ValidationReport(not bad, tuple(bad))
+    return bad, kids, pars, order, by_label
 
 
 class PhyloNetwork:
     """A validated rooted binary phylogenetic network.
 
     Construction validates; invalid input raises :class:`InvalidNetworkError`.
-    Instances are immutable: adjacency tuples are precomputed and the label
-    map is exposed read-only.
+    Instances are immutable: adjacency tuples and the topological order are
+    computed in the validating pass and the label map is exposed read-only.
     """
 
     __slots__ = (
         "num_vertices", "edges", "leaf_labels", "root",
         "children", "parents", "in_degree", "out_degree",
-        "leaves", "reticulations", "_labels_sorted",
+        "leaves", "reticulations", "_labels_sorted", "_order", "_by_label",
     )
 
     def __init__(self, edges: Iterable[Edge], leaf_labels: Mapping[int, str], num_vertices: int | None = None):
         edge_tuple = tuple((int(u), int(v)) for u, v in edges)
+        labels = dict(leaf_labels)
         if num_vertices is None:
             top = -1
             for u, v in edge_tuple:
@@ -194,38 +193,31 @@ class PhyloNetwork:
                     top = u
                 if v > top:
                     top = v
-            for v in leaf_labels:
+            for v in labels:
                 if v > top:
                     top = v
             num_vertices = top + 1
-        report = validate(Digraph(num_vertices, edge_tuple, dict(leaf_labels)))
-        if not report.ok:
-            raise InvalidNetworkError(report)
+        bad, kids, pars, order, by_label = _build(num_vertices, edge_tuple, labels)
+        if bad:
+            raise InvalidNetworkError(ValidationReport(False, tuple(bad)))
 
         self.num_vertices = num_vertices
         self.edges = edge_tuple
-        self.leaf_labels = MappingProxyType(dict(leaf_labels))
-
-        kids: list[list[int]] = [[] for _ in range(num_vertices)]
-        pars: list[list[int]] = [[] for _ in range(num_vertices)]
-        for u, v in edge_tuple:
-            kids[u].append(v)
-            pars[v].append(u)
-        self.children = tuple(tuple(sorted(c)) for c in kids)
-        self.parents = tuple(tuple(sorted(p)) for p in pars)
-        self.in_degree = tuple(len(p) for p in self.parents)
-        self.out_degree = tuple(len(c) for c in self.children)
-        self.root = next(v for v in range(num_vertices) if self.in_degree[v] == 0)
-        self.leaves = tuple(v for v in range(num_vertices) if self.out_degree[v] == 0)
-        self.reticulations = tuple(v for v in range(num_vertices) if self.in_degree[v] == 2)
-        self._labels_sorted = tuple(sorted(self.leaf_labels.values()))
+        self.leaf_labels = MappingProxyType(labels)
+        self.children = tuple(map(tuple, kids))
+        self.parents = tuple(map(tuple, pars))
+        self.in_degree = tuple(map(len, pars))
+        self.out_degree = tuple(map(len, kids))
+        self.root = order[0]  # the one in-degree-0 vertex is the first Kahn pops
+        self.leaves = tuple(v for v in range(num_vertices) if not kids[v])
+        self.reticulations = tuple(v for v in range(num_vertices) if len(pars[v]) == 2)
+        self._labels_sorted = tuple(sorted(by_label))
+        self._order = tuple(order)
+        self._by_label = by_label
 
     @classmethod
     def from_digraph(cls, graph: Digraph) -> "PhyloNetwork":
         return cls(graph.edges, graph.leaf_labels, graph.num_vertices)
-
-    def as_digraph(self) -> Digraph:
-        return Digraph(self.num_vertices, self.edges, dict(self.leaf_labels))
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -233,25 +225,11 @@ class PhyloNetwork:
         return self._labels_sorted
 
     def vertex_by_label(self, label: str) -> int:
-        for v, name in self.leaf_labels.items():
-            if name == label:
-                return v
-        raise KeyError(label)
+        return self._by_label[label]
 
     def topological_order(self) -> tuple[int, ...]:
         """Vertices in a topological order; ties broken by ascending id."""
-        indeg = list(self.in_degree)
-        heap = [v for v in range(self.num_vertices) if indeg[v] == 0]
-        heapq.heapify(heap)
-        order = []
-        while heap:
-            u = heapq.heappop(heap)
-            order.append(u)
-            for v in self.children[u]:
-                indeg[v] -= 1
-                if indeg[v] == 0:
-                    heapq.heappush(heap, v)
-        return tuple(order)
+        return self._order
 
     def __repr__(self) -> str:
         return (f"PhyloNetwork(n={self.num_vertices}, leaves={len(self.leaves)}, "
@@ -305,19 +283,13 @@ def subdivide_edge(net: PhyloNetwork, edge: Edge) -> tuple[Digraph, int]:
     :func:`attach_leaf`.
     """
     u, v = edge
-    if (u, v) not in set(net.edges):
-        raise ValueError(f"({u}, {v}) is not an edge of the network")
+    try:
+        i = net.edges.index((u, v))
+    except ValueError:
+        raise ValueError(f"({u}, {v}) is not an edge of the network") from None
     s = net.num_vertices
-    new_edges = []
-    replaced = False
-    for e in net.edges:
-        if not replaced and e == (u, v):
-            new_edges.append((u, s))
-            new_edges.append((s, v))
-            replaced = True
-        else:
-            new_edges.append(e)
-    return Digraph(s + 1, tuple(new_edges), dict(net.leaf_labels)), s
+    new_edges = net.edges[:i] + ((u, s), (s, v)) + net.edges[i + 1:]
+    return Digraph(s + 1, new_edges, dict(net.leaf_labels)), s
 
 
 def attach_leaf(net: PhyloNetwork, edge: Edge, label: str) -> PhyloNetwork:

@@ -15,7 +15,8 @@ All three equal the number of W-fences of the path graph, which one
 zig-zag trail walk (:func:`~tbnet.matching.zigzag_trails`) counts.  The same
 walk gives the witnesses: its maximum matching yields a minimum path
 partition, a spanning tree realizing ``l`` and a completion realizing
-``t``, and its first W-fence is the failure witness.
+``t``, and its first W-fence is the failure witness.  Each query walks
+once; the completion writes its edge list in one pass and builds once.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from itertools import count
 from typing import Union
 
 from .matching import Matching, zigzag_trails
-from .network import Edge, PhyloNetwork, attach_leaf
+from .network import Edge, PhyloNetwork
 
 
 @dataclass(frozen=True)
@@ -110,9 +111,9 @@ def _partition_from_matching(net: PhyloNetwork, m: Matching) -> PathPartition:
             path.append(v)
             v = left_match[v]
         paths.append(tuple(path))
-    partition = PathPartition(tuple(paths))
-    assert sum(len(p) for p in partition.paths) == net.num_vertices
-    return partition
+    if sum(map(len, paths)) != net.num_vertices:
+        raise RuntimeError("the path partition does not hold every vertex")
+    return PathPartition(tuple(paths))
 
 
 def vertex_disjoint_paths(net: PhyloNetwork) -> PathPartition:
@@ -209,17 +210,29 @@ def tree_based_completion(net: PhyloNetwork) -> CompletionResult:
     leaf on its smallest-headed out-edge.  That adds exactly ``t`` leaves,
     labeled ``attached_1``, ``attached_2``, ... in ascending order of the
     subdivided edge's tail, skipping every label the input already uses.
+    The i-th edge (u, v) becomes (u, s), (s, v) in place and (s, s + 1) is
+    appended, with s = n + 2i: the ids and edge order of :func:`attach_leaf`
+    applied edge by edge, built once.  With nothing to attach, ``net`` is
+    returned.
     """
-    stuck = rooted_spanning_tree(net).unlabeled_leaves(net)
+    stuck = sorted(rooted_spanning_tree(net).unlabeled_leaves(net))
+    if not stuck:
+        return CompletionResult(network=net, attached_edges=(), labels=())
     used = set(net.leaf_labels.values())
     fresh = (name for name in (f"attached_{i}" for i in count(1)) if name not in used)
-    current = net
-    attached: list[Edge] = []
-    labels: list[str] = []
-    for v in sorted(stuck):
-        target = (v, net.children[v][0])
-        label = next(fresh)
-        current = attach_leaf(current, target, label)
-        attached.append(target)
-        labels.append(label)
-    return CompletionResult(network=current, attached_edges=tuple(attached), labels=tuple(labels))
+    n = net.num_vertices
+    attached = tuple((v, net.children[v][0]) for v in stuck)
+    labels = tuple(next(fresh) for _ in stuck)
+    middle = {e: n + 2 * i for i, e in enumerate(attached)}
+    edges: list[Edge] = []
+    for e in net.edges:
+        s = middle.get(e)
+        if s is None:
+            edges.append(e)
+        else:
+            edges += ((e[0], s), (s, e[1]))
+    edges += [(s, s + 1) for s in middle.values()]
+    leaf_labels = dict(net.leaf_labels)
+    leaf_labels.update((s + 1, label) for s, label in zip(middle.values(), labels))
+    return CompletionResult(network=PhyloNetwork(edges, leaf_labels, n + 2 * len(stuck)),
+                            attached_edges=attached, labels=labels)

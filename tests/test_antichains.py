@@ -18,6 +18,7 @@ from tbnet import (
 )
 from tbnet.oracles import (
     _iter_antichains,
+    _reach_sets,
     oracle_antichain_to_leaf_property,
     oracle_max_antichain,
     oracle_temporal,
@@ -33,6 +34,18 @@ def test_is_antichain_basics(killer):
     assert not is_antichain(killer, (killer.root, x))
     with pytest.raises(ValueError):
         is_antichain(killer, (killer.num_vertices,))
+
+
+def test_is_antichain_matches_oracle():
+    for net in corpus(60, max_leaves=5, max_retics=4, seed_base=23_000):
+        reach = _reach_sets(net)
+        n = net.num_vertices
+        for u in range(n):
+            for v in range(u + 1, n):
+                apart = v not in reach[u] and u not in reach[v]
+                assert is_antichain(net, (u, v)) == apart
+        for antichain in _iter_antichains(net):
+            assert is_antichain(net, antichain)
 
 
 def test_max_antichain_killer(killer):

@@ -1,5 +1,6 @@
 """End-to-end command tests, run in process through ``main(argv)``."""
 
+import functools
 import io
 import json
 import sys
@@ -8,8 +9,9 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from tbnet import parse_enewick, parse_edgelist, is_tree_based
+from tbnet import PhyloNetwork, is_temporal, is_tree_based, parse_enewick, parse_edgelist
 from tbnet.cli import main
+from tbnet.matching import zigzag_trails
 
 from conftest import FIXTURES, run_python
 
@@ -74,6 +76,54 @@ def test_non_utf8_input_is_an_input_error(tmp_path, via_stdin):
     assert proc.returncode == 2
     assert proc.stderr.startswith(b"error:")
     assert b"Traceback" not in proc.stderr
+
+
+def test_internal_error_is_exit_3_not_a_no():
+    # a completion that is not tree-based must fail the self-check, under -O too
+    script = (
+        "import sys\n"
+        "import tbnet.cli as cli\n"
+        "from tbnet.treebased import CompletionResult\n"
+        "cli.tree_based_completion = lambda net: CompletionResult(net, (), ())\n"
+        "sys.exit(cli.main(['complete', sys.argv[1]]))\n"
+    )
+    proc = run_python("-O", "-c", script, fixture_path("deviation_one.edges"))
+    assert proc.returncode == 3, proc.stderr
+    assert b"Traceback" in proc.stderr
+    assert b"internal error:" in proc.stderr
+
+
+QUERIES = [("check",), ("indices",), ("paths",), ("spanning-tree",), ("temporal",),
+           ("complete",), ("antichain", "--max"), ("antichain", "--set", "0"),
+           ("antichain", "--check-property")]
+
+
+@pytest.mark.parametrize("query", QUERIES, ids=" ".join)
+@pytest.mark.parametrize("name", ["diamond", "deviation_one", "killer", "temporal_nontb"])
+@pytest.mark.parametrize("ext", [".edges", ".nwk"])
+def test_each_query_builds_and_derives_once(capsys, monkeypatch, query, name, ext):
+    counts = {"build": 0, "walk": 0, "is_temporal": 0}
+
+    def counting(key, fn):
+        @functools.wraps(fn)
+        def counted(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(PhyloNetwork, "__init__", counting("build", PhyloNetwork.__init__))
+    modules = [m for n, m in sys.modules.items() if n == "tbnet" or n.startswith("tbnet.")]
+    for key, fn in (("walk", zigzag_trails), ("is_temporal", is_temporal)):
+        for mod in modules:
+            if getattr(mod, fn.__name__, None) is fn:
+                monkeypatch.setattr(mod, fn.__name__, counting(key, fn))
+    code, env, _ = run_json(capsys, *query, fixture_path(name + ext))
+    assert code in (0, 1)
+    # complete walks its result too, and builds it unless it attached nothing
+    complete = query == ("complete",)
+    assert counts["build"] == 1 + (complete and env["payload"]["attachments"] > 0)
+    assert counts["walk"] <= 1 + complete
+    assert counts["is_temporal"] <= 1
 
 
 def test_check_human_output(capsys):

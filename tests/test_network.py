@@ -1,3 +1,5 @@
+import heapq
+
 import pytest
 
 from tbnet import (
@@ -14,6 +16,8 @@ from tbnet import (
     subdivide_edge,
     validate,
 )
+
+from conftest import corpus
 
 TWO_LEAF = (((0, 1), (0, 2)), {1: "a", 2: "b"}, 3)
 
@@ -131,3 +135,31 @@ def test_attach_leaf_every_reticulation_edge_gives_tree_based():
         retic = set(net.reticulations)
         targets = [e for e in net.edges if e[1] in retic]
         assert is_tree_based(_attach_run(net, targets))[0]
+
+
+def test_topological_order_is_the_ascending_id_heap_kahn():
+    def reference(net):
+        indeg = [0] * net.num_vertices
+        for _, v in net.edges:
+            indeg[v] += 1
+        heap = [v for v in range(net.num_vertices) if indeg[v] == 0]
+        order = []
+        while heap:
+            u = heapq.heappop(heap)
+            order.append(u)
+            for w in sorted(v for x, v in net.edges if x == u):
+                indeg[w] -= 1
+                if indeg[w] == 0:
+                    heapq.heappush(heap, w)
+        return tuple(order)
+
+    for net in corpus(200, max_leaves=8, max_retics=6, seed_base=21_000):
+        assert net.topological_order() == reference(net)
+        assert net.root == net.topological_order()[0]
+
+
+def test_vertex_by_label(killer):
+    for v, name in killer.leaf_labels.items():
+        assert killer.vertex_by_label(name) == v
+    with pytest.raises(KeyError):
+        killer.vertex_by_label("no-such-leaf")

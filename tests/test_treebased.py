@@ -1,3 +1,5 @@
+from itertools import count
+
 import pytest
 
 from tbnet import (
@@ -5,6 +7,7 @@ from tbnet import (
     FailureWitness,
     GenSpec,
     PhyloNetwork,
+    attach_leaf,
     check_path_partition_characterisation,
     deviation_indices,
     generate,
@@ -193,3 +196,27 @@ def test_characterisation_v_agrees_with_decision():
         if net.num_vertices == 1:
             continue
         assert check_path_partition_characterisation(net) == is_tree_based(net)[0]
+
+
+def test_completion_matches_sequential_attach_leaf():
+    def reference(net):
+        # one attach_leaf per stuck vertex, each rebuilding the network
+        stuck = sorted(rooted_spanning_tree(net).unlabeled_leaves(net))
+        used = set(net.leaf_labels.values())
+        fresh = (f"attached_{i}" for i in count(1) if f"attached_{i}" not in used)
+        current, attached, labels = net, [], []
+        for v in stuck:
+            attached.append((v, net.children[v][0]))
+            labels.append(next(fresh))
+            current = attach_leaf(current, attached[-1], labels[-1])
+        return current, tuple(attached), tuple(labels)
+
+    for net in corpus(200, max_leaves=8, max_retics=8, seed_base=22_000):
+        result = tree_based_completion(net)
+        network, attached, labels = reference(net)
+        assert result.network.edges == network.edges
+        assert list(result.network.leaf_labels.items()) == list(network.leaf_labels.items())
+        assert result.attached_edges == attached
+        assert result.labels == labels
+        if not attached:
+            assert result.network is net
