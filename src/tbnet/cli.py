@@ -6,39 +6,25 @@ or usage errors, 3 for an internal error (any other exception, or a failed
 self-check), reported with its traceback.  ``--json`` wraps every payload in
 a fixed envelope whose schema ships with the package as
 ``report.schema.json``.
+
+Each subcommand imports the modules it runs when it runs, so a query loads
+only its own layers: ``check``, ``indices``, ``paths``, ``spanning-tree``
+and ``complete`` load ``network``, the reader, ``matching`` and
+``treebased``; ``antichains``, ``generate`` and ``dot`` load only where
+they are used.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import sys
 import time
-import traceback
+from json.encoder import encode_basestring_ascii
 
 from . import __version__
-from .antichains import (
-    _violating_antichain,
-    antichain_to_leaf,
-    has_antichain_to_leaf_property,
-    is_temporal,
-    max_antichain,
-)
-from .dot import export_dot
-from .edgelist import parse_edgelist, serialize_edgelist
 from .enewick import ParseError, parse_enewick, serialize_enewick
-from .generate import GenerationError, GenSpec, generate
-from .matching import zigzag_trails
 from .network import InvalidNetworkError, PhyloNetwork
-from .treebased import (
-    BaseTreeCertificate,
-    deviation_indices,
-    is_tree_based,
-    rooted_spanning_tree,
-    tree_based_completion,
-    vertex_disjoint_paths,
-)
 
 EXT_FORMATS = {
     ".nwk": "enewick", ".enwk": "enewick", ".enewick": "enewick", ".newick": "enewick",
@@ -80,9 +66,21 @@ def _read_input(path: str) -> tuple[str, str]:
 
 def _load(args) -> tuple[PhyloNetwork, str]:
     text, digest = _read_input(args.input)
-    fmt = _detect_format(args.input, args.format)
-    net = parse_enewick(text) if fmt == "enewick" else parse_edgelist(text)
-    return net, digest
+    if _detect_format(args.input, args.format) == "enewick":
+        return parse_enewick(text), digest
+    from .edgelist import parse_edgelist
+
+    return parse_edgelist(text), digest
+
+
+def _write_network(path: str, fmt: str, net: PhyloNetwork, enewick_text: str) -> None:
+    """Write ``net`` in ``fmt``; ``enewick_text`` is its eNewick form."""
+    if fmt == "enewick":
+        _write_text(path, enewick_text)
+    else:
+        from .edgelist import serialize_edgelist
+
+        _write_text(path, serialize_edgelist(net))
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -93,6 +91,47 @@ def _write_text(path: str | None, text: str) -> None:
     else:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+
+
+def _json_text(obj, newline: str = "\n") -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte, for
+    dicts with str keys, lists, tuples, str, int, float, bool and None.
+    ``newline`` is a newline plus the indent of the line ``obj`` is on.
+    The json module writes indented output in pure Python, one call per
+    value; this joins each all-int list in one step."""
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = newline + "  "
+        if all(type(x) is int for x in obj):
+            items = map(int.__repr__, obj)
+        else:
+            items = [_json_text(x, inner) for x in obj]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = newline + "  "
+        items = [encode_basestring_ascii(key) + ": " + _json_text(obj[key], inner)
+                 for key in sorted(obj)]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        if obj != obj:
+            return "NaN"
+        if obj in (float("inf"), float("-inf")):
+            return "Infinity" if obj > 0 else "-Infinity"
+        return float.__repr__(obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _emit(args, command: str, payload: dict, digest: str | None,
@@ -106,13 +145,15 @@ def _emit(args, command: str, payload: dict, digest: str | None,
             "elapsed_ms": round((time.perf_counter() - started) * 1000.0, 3),
             "payload": payload,
         }
-        print(json.dumps(envelope, indent=2, sort_keys=True))
+        print(_json_text(envelope))
     else:
         for line in human:
             print(line)
 
 
 def cmd_check(args) -> int:
+    from .treebased import is_tree_based
+
     started = time.perf_counter()
     net, digest = _load(args)
     based, cert = is_tree_based(net)
@@ -137,6 +178,8 @@ def cmd_check(args) -> int:
         "certificate": certificate,
     }
     if args.dot:
+        from .dot import export_dot
+
         tree = cert.tree if based else None
         _write_text(args.dot, export_dot(net, tree=tree))
     _emit(args, "check", payload, digest, started, human)
@@ -144,6 +187,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_indices(args) -> int:
+    from .treebased import deviation_indices
+
     started = time.perf_counter()
     net, digest = _load(args)
     report = deviation_indices(net)
@@ -154,6 +199,8 @@ def cmd_indices(args) -> int:
 
 
 def cmd_paths(args) -> int:
+    from .treebased import vertex_disjoint_paths
+
     started = time.perf_counter()
     net, digest = _load(args)
     partition = vertex_disjoint_paths(net)
@@ -162,12 +209,16 @@ def cmd_paths(args) -> int:
     human = [f"paths: {partition.size}"] + [
         "  " + " -> ".join(map(str, p)) for p in partition.paths]
     if args.dot:
+        from .dot import export_dot
+
         _write_text(args.dot, export_dot(net, paths=partition))
     _emit(args, "paths", payload, digest, started, human)
     return 0
 
 
 def cmd_spanning_tree(args) -> int:
+    from .treebased import rooted_spanning_tree
+
     started = time.perf_counter()
     net, digest = _load(args)
     tree = rooted_spanning_tree(net)
@@ -182,12 +233,17 @@ def cmd_spanning_tree(args) -> int:
     human = [f"spanning tree with {len(tree.edges)} edges, "
              f"{len(outside)} leaf(s) outside the label set"]
     if args.dot:
+        from .dot import export_dot
+
         _write_text(args.dot, export_dot(net, tree=tree))
     _emit(args, "spanning-tree", payload, digest, started, human)
     return 0
 
 
 def cmd_complete(args) -> int:
+    from .matching import zigzag_trails
+    from .treebased import tree_based_completion
+
     started = time.perf_counter()
     net, digest = _load(args)
     result = tree_based_completion(net)
@@ -202,10 +258,10 @@ def cmd_complete(args) -> int:
     }
     human = [f"attached {len(result.attached_edges)} leaf(s)", text]
     if args.out:
-        out_fmt = _detect_format(args.out, args.format)
-        _write_text(args.out,
-                    text if out_fmt == "enewick" else serialize_edgelist(result.network))
+        _write_network(args.out, _detect_format(args.out, args.format), result.network, text)
     if args.dot:
+        from .dot import export_dot
+
         new_leaves = tuple(result.network.vertex_by_label(lab) for lab in result.labels)
         _write_text(args.dot, export_dot(result.network, attached=new_leaves))
     _emit(args, "complete", payload, digest, started, human)
@@ -235,6 +291,10 @@ def _resolve_vertices(net: PhyloNetwork, spec: str) -> tuple[int, ...]:
 
 
 def cmd_antichain(args) -> int:
+    from .antichains import (antichain_to_leaf, has_antichain_to_leaf_property,
+                             is_temporal, max_antichain)
+    from .treebased import deviation_indices
+
     started = time.perf_counter()
     net, digest = _load(args)
     if args.max:
@@ -273,6 +333,9 @@ def cmd_antichain(args) -> int:
 
 
 def cmd_temporal(args) -> int:
+    from .antichains import _violating_antichain, is_temporal
+    from .matching import zigzag_trails
+
     started = time.perf_counter()
     net, digest = _load(args)
     temporal, tmap = is_temporal(net)
@@ -290,19 +353,27 @@ def cmd_temporal(args) -> int:
     return 0 if temporal else 1
 
 
+def _generate(spec) -> PhyloNetwork:
+    from .generate import GenerationError, generate
+
+    try:
+        return generate(spec)
+    except GenerationError as exc:
+        raise CliError(str(exc)) from exc
+
+
 def cmd_gen(args) -> int:
+    from .generate import GenSpec
+
     started = time.perf_counter()
-    spec = GenSpec(args.leaves, args.retics, args.seed, temporal_only=args.temporal)
-    net = generate(spec)
+    net = _generate(GenSpec(args.leaves, args.retics, args.seed, temporal_only=args.temporal))
     text = serialize_enewick(net)
     payload = {"leaves": args.leaves, "retics": args.retics, "seed": args.seed,
                "temporal_only": args.temporal,
                "num_vertices": net.num_vertices, "network": text}
     digest = hashlib.sha256(text.encode()).hexdigest()
     if args.out:
-        out_fmt = _detect_format(args.out, None)
-        _write_text(args.out,
-                    text if out_fmt == "enewick" else serialize_edgelist(net))
+        _write_network(args.out, _detect_format(args.out, None), net, text)
         human = [f"wrote {args.out}"]
     else:
         human = [text]
@@ -311,9 +382,12 @@ def cmd_gen(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    from .generate import GenSpec
+    from .treebased import deviation_indices
+
     started = time.perf_counter()
     t0 = time.perf_counter()
-    net = generate(GenSpec(args.leaves, args.retics, args.seed))
+    net = _generate(GenSpec(args.leaves, args.retics, args.seed))
     gen_ms = (time.perf_counter() - t0) * 1000.0
     runs = []
     for _ in range(args.repeat):
@@ -398,10 +472,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, ParseError, InvalidNetworkError, GenerationError) as exc:
+    except (CliError, ParseError, InvalidNetworkError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception:
+        import traceback
+
         print(f"internal error: {traceback.format_exc()}", file=sys.stderr, end="")
         return 3
 

@@ -11,6 +11,11 @@ Dialect notes, since eNewick in the wild varies:
   outright rather than silently dropped.
 * Whitespace between tokens is ignored.
 
+The reader finds every token with one compiled regular expression and
+reads them in one loop that keeps its state in locals.  Errors carry the
+line and column of the offending token; a character that starts no token
+is reported first, wherever it stands, at its own position.
+
 Parsing and serialising both use explicit stacks so deeply nested inputs
 do not hit the interpreter recursion limit.
 """
@@ -21,7 +26,16 @@ import re
 
 from .network import LABEL_RE, PhyloNetwork
 
-TAG_RE = re.compile(r"#H(\d+)")
+# The tokens, one per match: punctuation, a hybrid tag or a label.  A scan
+# skips what matches none of them, so the reader checks that it skipped
+# only whitespace.
+_TOKEN_RE = re.compile(rf"[(),;]|#H\d+|{LABEL_RE.pattern}")
+# The same, plus any other non-space character, captured: a lexical error.
+_LEX_RE = re.compile(rf"{_TOKEN_RE.pattern}|(\S)")
+
+# What the reader holds between tokens: nothing, a leaf label, a finished
+# vertex id (a hybrid tag was read), or a group's children, unnamed or named.
+_NONE, _LEAF, _DONE, _GROUP, _NAMED = range(5)
 
 
 class ParseError(ValueError):
@@ -34,147 +48,119 @@ class ParseError(ValueError):
         super().__init__(f"{message} (line {self.line}, column {self.column})")
 
 
-def _tokenize(text: str):
-    tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "(),;":
-            tokens.append((ch, ch, i))
-            i += 1
-            continue
-        if ch == ":":
-            raise ParseError("branch lengths are not supported", text, i)
-        if ch == "#":
-            m = TAG_RE.match(text, i)
-            if not m:
-                raise ParseError("expected hybrid tag of the form #H<number>", text, i)
-            tokens.append(("tag", m.group(0), i))
-            i = m.end()
-            continue
-        m = LABEL_RE.match(text, i)
-        if not m:
-            raise ParseError(f"unexpected character {ch!r}", text, i)
-        tokens.append(("label", m.group(0), i))
-        i = m.end()
-    return tokens
+def _lexical_error(text: str) -> ParseError:
+    """The error for the first non-space character that starts no token;
+    the text must have one."""
+    m = next(m for m in _LEX_RE.finditer(text) if m.group(1))
+    bad = m.group(1)
+    if bad == ":":
+        return ParseError("branch lengths are not supported", text, m.start())
+    if bad == "#":
+        return ParseError("expected hybrid tag of the form #H<number>", text, m.start())
+    return ParseError(f"unexpected character {bad!r}", text, m.start())
+
+
+def _error_at(text: str, k: int, message: str) -> ParseError:
+    """The error ``message`` at the start of token ``k``."""
+    return ParseError(message, text, [m.start() for m in _TOKEN_RE.finditer(text)][k])
 
 
 def parse_enewick(text: str) -> PhyloNetwork:
     """Parse one network; raises ParseError on bad syntax and
-    InvalidNetworkError when the digraph is not a valid network."""
-    tokens = _tokenize(text)
+    InvalidNetworkError when the digraph is not a valid network.
+
+    One regex scan splits the text into tokens and one loop reads them,
+    holding the item just read in ``state`` and ``value``.  Vertex ids are
+    given in reading order: a leaf or group when the token after it closes
+    it, a reticulation at the first occurrence of its tag."""
+    tokens = _TOKEN_RE.findall(text)
+    # A lexical error is reported first, wherever it stands.
+    if sum(map(len, tokens)) != sum(map(len, text.split())):
+        raise _lexical_error(text)
     if not tokens:
         raise ParseError("empty input", text, 0)
 
-    num_vertices = 0
+    n = 0
     edges: list[tuple[int, int]] = []
     labels: dict[int, str] = {}
     hybrid_id: dict[str, int] = {}
     hybrid_uses: dict[str, int] = {}
     hybrid_defined: set[str] = set()
-
-    def new_vertex() -> int:
-        nonlocal num_vertices
-        num_vertices += 1
-        return num_vertices - 1
-
-    def hybrid(tag: str, children, pos: int) -> int:
-        vid = hybrid_id.get(tag)
-        if vid is None:
-            vid = new_vertex()
-            hybrid_id[tag] = vid
-        hybrid_uses[tag] = hybrid_uses.get(tag, 0) + 1
-        if children is not None:
-            if tag in hybrid_defined:
-                raise ParseError(f"hybrid tag {tag} has a subtree in two places", text, pos)
-            hybrid_defined.add(tag)
-            for c in children:
-                edges.append((vid, c))
-        return vid
-
-    # pending: the item just read, shapes ("leaf", label), ("group", children,
-    # named) and ("done", vid).  stack holds child lists of open groups.
-    stack: list[list[int]] = []
-    pending = None
-
-    def finalize() -> int:
-        kind = pending[0]
-        if kind == "leaf":
-            vid = new_vertex()
-            labels[vid] = pending[1]
-            return vid
-        if kind == "group":
-            vid = new_vertex()
-            for c in pending[1]:
-                edges.append((vid, c))
-            return vid
-        return pending[1]
-
-    end_offset = None
-    for kind, value, pos in tokens:
-        if end_offset is not None:
-            raise ParseError("unexpected text after ';'", text, pos)
-        if kind == "(":
-            if pending is not None:
-                raise ParseError("expected ',' or ')' before '('", text, pos)
+    stack: list[list[int]] = []  # child lists of the open groups
+    state, value = _NONE, None
+    end = -1
+    for k, tok in enumerate(tokens):
+        if tok == "," or tok == ")" or tok == ";":  # closes the item just read
+            if tok == ";":
+                if stack:
+                    raise _error_at(text, k, "unclosed '(' before ';'")
+                if state == _NONE:
+                    raise _error_at(text, k, "expected a network before ';'")
+            else:
+                if state == _NONE:
+                    raise _error_at(text, k, f"expected a subtree before '{tok}'")
+                if not stack:
+                    raise _error_at(text, k, "',' outside parentheses" if tok == ","
+                                    else "unmatched ')'")
+            if state == _LEAF:
+                v = n
+                n += 1
+                labels[v] = value
+            elif state == _DONE:
+                v = value
+            else:
+                v = n
+                n += 1
+                for c in value:
+                    edges.append((v, c))
+            if tok == ",":
+                stack[-1].append(v)
+                state = _NONE
+            elif tok == ")":
+                value = stack.pop()
+                value.append(v)
+                state = _GROUP
+            else:
+                end = k
+                break
+        elif tok == "(":
+            if state != _NONE:
+                raise _error_at(text, k, "expected ',' or ')' before '('")
             stack.append([])
-        elif kind == "label":
-            if pending is None:
-                pending = ("leaf", value)
-            elif pending[0] == "group" and not pending[2]:
-                pending = ("group", pending[1], True)
-            else:
-                raise ParseError("unexpected label", text, pos)
-        elif kind == "tag":
-            if pending is None:
-                pending = ("done", hybrid(value, None, pos))
-            elif pending[0] == "leaf":
-                pending = ("done", hybrid(value, None, pos))
-            elif pending[0] == "group":
-                pending = ("done", hybrid(value, pending[1], pos))
-            else:
-                raise ParseError("unexpected hybrid tag", text, pos)
-        elif kind == ",":
-            if pending is None:
-                raise ParseError("expected a subtree before ','", text, pos)
-            if not stack:
-                raise ParseError("',' outside parentheses", text, pos)
-            stack[-1].append(finalize())
-            pending = None
-        elif kind == ")":
-            if pending is None:
-                raise ParseError("expected a subtree before ')'", text, pos)
-            if not stack:
-                raise ParseError("unmatched ')'", text, pos)
-            kids = stack.pop()
-            kids.append(finalize())
-            pending = ("group", tuple(kids), False)
-        else:  # ";"
-            if stack:
-                raise ParseError("unclosed '(' before ';'", text, pos)
-            if pending is None:
-                raise ParseError("expected a network before ';'", text, pos)
-            root = finalize()
-            pending = None
-            end_offset = pos
+        elif tok[0] == "#":
+            if state == _DONE:
+                raise _error_at(text, k, "unexpected hybrid tag")
+            v = hybrid_id.get(tok)
+            if v is None:
+                v = hybrid_id[tok] = n
+                n += 1
+            hybrid_uses[tok] = hybrid_uses.get(tok, 0) + 1
+            if state >= _GROUP:  # the occurrence that carries the children
+                if tok in hybrid_defined:
+                    raise _error_at(text, k, f"hybrid tag {tok} has a subtree in two places")
+                hybrid_defined.add(tok)
+                for c in value:
+                    edges.append((v, c))
+            state, value = _DONE, v
+        elif state == _NONE:
+            state, value = _LEAF, tok
+        elif state == _GROUP:
+            state = _NAMED
+        else:
+            raise _error_at(text, k, "unexpected label")
 
-    if end_offset is None:
+    if end < 0:
         raise ParseError("missing ';'", text, len(text))
-
+    if end + 1 < len(tokens):
+        raise _error_at(text, end + 1, "unexpected text after ';'")
     for tag, uses in hybrid_uses.items():
         if uses != 2:
-            raise ParseError(
-                f"hybrid tag {tag} appears {uses} time(s); a reticulation needs exactly 2",
-                text, end_offset)
+            raise _error_at(
+                text, end,
+                f"hybrid tag {tag} appears {uses} time(s); a reticulation needs exactly 2")
         if tag not in hybrid_defined:
-            raise ParseError(f"hybrid tag {tag} never given a subtree", text, end_offset)
-
-    return PhyloNetwork(edges, labels, num_vertices)
+            raise _error_at(text, end, f"hybrid tag {tag} never given a subtree")
+    return PhyloNetwork(edges, labels, n)
 
 
 def _min_leaf_labels(net: PhyloNetwork) -> list[str]:

@@ -8,9 +8,10 @@ from importlib import resources
 
 import jsonschema
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from tbnet import PhyloNetwork, is_temporal, is_tree_based, parse_enewick, parse_edgelist
-from tbnet.cli import main
+from tbnet.cli import _json_text, main
 from tbnet.matching import zigzag_trails
 
 from conftest import FIXTURES, run_python
@@ -83,8 +84,8 @@ def test_internal_error_is_exit_3_not_a_no():
     script = (
         "import sys\n"
         "import tbnet.cli as cli\n"
-        "from tbnet.treebased import CompletionResult\n"
-        "cli.tree_based_completion = lambda net: CompletionResult(net, (), ())\n"
+        "import tbnet.treebased as treebased\n"
+        "treebased.tree_based_completion = lambda net: treebased.CompletionResult(net, (), ())\n"
         "sys.exit(cli.main(['complete', sys.argv[1]]))\n"
     )
     proc = run_python("-O", "-c", script, fixture_path("deviation_one.edges"))
@@ -124,6 +125,45 @@ def test_each_query_builds_and_derives_once(capsys, monkeypatch, query, name, ex
     assert counts["build"] == 1 + (complete and env["payload"]["attachments"] > 0)
     assert counts["walk"] <= 1 + complete
     assert counts["is_temporal"] <= 1
+
+
+def _as_json_dumps(out: str) -> str:
+    return json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("query", QUERIES, ids=" ".join)
+@pytest.mark.parametrize("name", ["diamond", "deviation_one", "killer", "temporal_nontb"])
+@pytest.mark.parametrize("ext", [".edges", ".nwk"])
+def test_envelope_text_is_json_dumps(capsys, query, name, ext):
+    code, out, _ = run(capsys, *query, fixture_path(name + ext), "--json")
+    assert code in (0, 1)
+    assert out == _as_json_dumps(out)
+
+
+@pytest.mark.parametrize("argv", [
+    ("gen", "--leaves", "6", "--retics", "3", "--seed", "2"),
+    ("gen", "--leaves", "1", "--retics", "0", "--temporal"),
+    ("bench", "--leaves", "8", "--retics", "2", "--repeat", "2"),
+], ids=" ".join)
+def test_envelope_text_is_json_dumps_without_input(capsys, argv):
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 0
+    assert out == _as_json_dumps(out)
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(min_value=-2**80, max_value=2**80)
+    | st.floats() | st.text(),
+    lambda inner: (st.lists(inner, max_size=5) | st.lists(st.integers(), max_size=5)
+                   | st.tuples(inner, inner) | st.dictionaries(st.text(), inner, max_size=5)),
+    max_leaves=25)
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_values)
+@example({"f": [float("inf"), float("-inf"), float("nan"), -0.0, 1e300], "b": [True, 1]})
+def test_json_text_matches_json_dumps(value):
+    assert _json_text(value) == json.dumps(value, indent=2, sort_keys=True)
 
 
 def test_check_human_output(capsys):
@@ -256,6 +296,12 @@ def test_gen_infeasible_shape(capsys):
     code, _, err = run(capsys, "gen", "--leaves", "1", "--retics", "1")
     assert code == 2
     assert "error:" in err
+
+
+def test_gen_oversize_is_an_input_error(capsys):
+    code, out, err = run(capsys, "gen", "--leaves", "2", "--retics", "99999999999")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "the limit is" in err
 
 
 def test_gen_out_file(capsys, tmp_path):

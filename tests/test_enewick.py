@@ -92,6 +92,78 @@ def test_parse_errors(text, fragment):
     assert fragment in str(err.value)
 
 
+# Message, line and column of each error, as the character-by-character
+# reader this one replaced reported them.  A lexical error (a character
+# that starts no token) is reported before any structural one, wherever it
+# is in the text.
+MALFORMED = [
+    ('', 'empty input', 1, 1),
+    ('   \n\t ', 'empty input', 1, 1),
+    ('(a,b)', "missing ';'", 1, 6),
+    ('((a,b),c)\n', "missing ';'", 2, 1),
+    ('(a,b);x', "unexpected text after ';'", 1, 7),
+    ('(a,b); (c,d);', "unexpected text after ';'", 1, 8),
+    ('(a:1,b);', 'branch lengths are not supported', 1, 3),
+    ('(a,b):0.5;', 'branch lengths are not supported', 1, 6),
+    ('(a,#X1);', 'expected hybrid tag of the form #H<number>', 1, 4),
+    ('(a,#);', 'expected hybrid tag of the form #H<number>', 1, 4),
+    ('(a,#h1);', 'expected hybrid tag of the form #H<number>', 1, 4),
+    ('(a,b)#H;', 'expected hybrid tag of the form #H<number>', 1, 6),
+    ('(a,é);', "unexpected character 'é'", 1, 4),
+    ('(a,b);é', "unexpected character 'é'", 1, 7),
+    ('(a b);', 'unexpected label', 1, 4),
+    ('((a,b)c d);', 'unexpected label', 1, 9),
+    ('(a,,b);', "expected a subtree before ','", 1, 4),
+    ('(,a);', "expected a subtree before ','", 1, 2),
+    ('(a,);', "expected a subtree before ')'", 1, 4),
+    ('a,b;', "',' outside parentheses", 1, 2),
+    ('(a,b));', "unmatched ')'", 1, 6),
+    (')a;', "expected a subtree before ')'", 1, 1),
+    (';', "expected a network before ';'", 1, 1),
+    ('();', "expected a subtree before ')'", 1, 2),
+    ('(a,b)(c,d);', "expected ',' or ')' before '('", 1, 6),
+    ('a(b,c);', "expected ',' or ')' before '('", 1, 2),
+    ('(a,b)#H1;', 'hybrid tag #H1 appears 1 time(s); a reticulation needs exactly 2', 1, 9),
+    ('((a,b)#H1,(c)#H1);', 'hybrid tag #H1 has a subtree in two places', 1, 14),
+    ('((a,b)#H1,#H1#H1);', 'unexpected hybrid tag', 1, 14),
+    ('(a#H1,b);', 'hybrid tag #H1 appears 1 time(s); a reticulation needs exactly 2', 1, 9),
+    ('((a,b)#H1,(#H1,#H2));', 'hybrid tag #H2 appears 1 time(s); a reticulation needs exactly 2', 1, 21),
+    ('((a,b)#H2,(#H1,c));', 'hybrid tag #H2 appears 1 time(s); a reticulation needs exactly 2', 1, 19),
+    ('(((a)#H1,b),(#H1,c)#H1);', 'hybrid tag #H1 has a subtree in two places', 1, 20),
+    ('(a,(b,c);', "unclosed '(' before ';'", 1, 9),
+    ('((a,b),c;', "unclosed '(' before ';'", 1, 9),
+    ('(a,b)\n;\nx', "unexpected text after ';'", 3, 1),
+    ('(a,\n(b,\n c)\n)\n)\n;', "unmatched ')'", 5, 1),
+    ('(a,\n  b:1);', 'branch lengths are not supported', 2, 4),
+    ('(a\xa0b);', 'unexpected label', 1, 4),
+    ('(a,b)\u3000;\u2028x', "unexpected text after ';'", 1, 9),
+    ('(a,b);:', 'branch lengths are not supported', 1, 7),
+    ('(a,,b):', 'branch lengths are not supported', 1, 7),
+    ('(a,,b)é;', "unexpected character 'é'", 1, 7),
+    (')(:', 'branch lengths are not supported', 1, 3),
+    ('(a,b)#H1#H2;', 'unexpected hybrid tag', 1, 9),
+    ('(a,b)c#H1;', 'hybrid tag #H1 appears 1 time(s); a reticulation needs exactly 2', 1, 10),
+    ('(a,b)c d;', 'unexpected label', 1, 8),
+    ('\ufeff(a,b);', "unexpected character '\\ufeff'", 1, 1),
+    ('(a,b);\x00', "unexpected character '\\x00'", 1, 7),
+    ('(a,b)#H01,#H1;', "',' outside parentheses", 1, 10),
+    ('(#H1,#H1);', 'hybrid tag #H1 never given a subtree', 1, 10),
+    ('((a,#H1),(#H1,b));', 'hybrid tag #H1 never given a subtree', 1, 18),
+    ('(a,b)#H1;:', 'branch lengths are not supported', 1, 10),
+    ('(a#H1,b);x', "unexpected text after ';'", 1, 10),
+    ('((a,b)#H1,(#H1,c)#H2);', 'hybrid tag #H2 appears 1 time(s); a reticulation needs exactly 2', 1, 22),
+    ('(a,b)\n#H7;', 'hybrid tag #H7 appears 1 time(s); a reticulation needs exactly 2', 2, 4),
+]
+
+
+@pytest.mark.parametrize("text, message, line, column", MALFORMED)
+def test_malformed_input_error_is_pinned(text, message, line, column):
+    with pytest.raises(ParseError) as err:
+        parse_enewick(text)
+    assert str(err.value) == f"{message} (line {line}, column {column})"
+    assert (err.value.line, err.value.column) == (line, column)
+
+
 def test_parse_error_carries_position():
     with pytest.raises(ParseError) as err:
         parse_enewick("(a\n,b:3);")

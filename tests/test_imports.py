@@ -1,0 +1,63 @@
+"""What a query loads: the package resolves its names on first use, and each
+subcommand imports only the modules it runs."""
+
+import types
+
+import pytest
+
+import tbnet
+
+from conftest import FIXTURES, run_python
+
+LOADED = (
+    "import sys\n"
+    "import tbnet.cli\n"
+    "code = tbnet.cli.main(sys.argv[1:])\n"
+    "sys.stderr.write(' '.join(sorted(sys.modules)))\n"
+    "sys.exit(code)\n"
+)
+# Modules a query must not load: the tree-based queries, and gen.
+NOT_TREE_BASED = {"tbnet.antichains", "tbnet.generate", "tbnet.dot", "fractions"}
+NOT_GEN = {"tbnet.antichains", "tbnet.dot", "tbnet.treebased", "tbnet.matching", "fractions"}
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", "diamond.nwk"),
+    ("check", "deviation_one.edges"),
+    ("indices", "killer.nwk"),
+    ("paths", "killer.edges"),
+    ("spanning-tree", "deviation_one.nwk"),
+    ("complete", "deviation_one.nwk"),
+    ("gen", "--leaves", "5", "--retics", "2"),
+], ids=" ".join)
+def test_a_query_loads_only_its_own_modules(argv):
+    absent = NOT_GEN if argv[0] == "gen" else NOT_TREE_BASED
+    argv = [str(FIXTURES / a) if a.endswith((".nwk", ".edges")) else a for a in argv]
+    proc = run_python("-c", LOADED, *argv, "--json")
+    assert proc.returncode in (0, 1), proc.stderr
+    loaded = set(proc.stderr.decode().split())
+    assert "tbnet.network" in loaded
+    assert not loaded & absent
+
+
+def test_importing_the_package_loads_no_submodule():
+    proc = run_python("-c", "import sys, tbnet\n"
+                            "print(sorted(m for m in sys.modules if m.startswith('tbnet')))")
+    assert proc.stdout.decode().strip() == "['tbnet']"
+
+
+@pytest.mark.parametrize("name", tbnet.__all__)
+def test_every_exported_name_imports(name):
+    namespace = {}
+    exec(f"from tbnet import {name}", namespace)
+    assert not isinstance(namespace[name], types.ModuleType)
+    assert namespace[name] is getattr(tbnet, name)
+    assert name in dir(tbnet)
+
+
+def test_loading_a_submodule_does_not_shadow_its_function():
+    # tbnet.generate is both a submodule and the function it defines
+    proc = run_python("-c", "import tbnet.generate\n"
+                            "from tbnet import generate\n"
+                            "print(type(generate).__name__)")
+    assert proc.stdout.decode().strip() == "function"
