@@ -19,7 +19,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "antichains": (
         "DisjointPathWitness", "TemporalMap", "antichain_to_leaf",
-        "antichain_to_leaf_edge_disjoint", "has_antichain_to_leaf_property",
+        "has_antichain_to_leaf_property",
         "is_antichain", "is_temporal", "max_antichain", "maximal_antichains",
         "temporal_violating_antichain", "verify_temporal_map",
     ),

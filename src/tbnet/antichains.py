@@ -8,8 +8,10 @@ tree edges, constant along reticulation edges) that property is equivalent
 to being tree-based, and a failing antichain can be constructed from any
 reticulation-to-reticulation path of the saturation graph.
 
-Only the closure routes hold per-vertex descendant bitmasks; inputs and
-outputs are plain vertex-id tuples.
+Both antichain queries are unit flows on the split DAG, where vertex v is
+an arc from its in-copy to its out-copy: routing to the leaves is a maximum
+flow, a maximum antichain a minimum flow.  Only :func:`maximal_antichains`,
+behind the size-bounded exhaustive check, holds descendant bitmasks.
 """
 
 from __future__ import annotations
@@ -18,22 +20,10 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
 
-from .matching import BipartiteGraph, max_matching, min_vertex_cover, zigzag_trails
 from .network import PhyloNetwork
-from .treebased import _failure_witness, _partition_from_matching, deviation_indices
+from .treebased import _failure_witness, deviation_indices, zigzag_trails
 
 DEFAULT_EXHAUSTIVE_BOUND = 18
-
-
-def _descendant_masks(net: PhyloNetwork) -> list[int]:
-    """Strict-descendant bitmask per vertex (v's own bit excluded)."""
-    desc = [0] * net.num_vertices
-    for v in reversed(net.topological_order()):
-        acc = 0
-        for c in net.children[v]:
-            acc |= (1 << c) | desc[c]
-        desc[v] = acc
-    return desc
 
 
 def _reachable(net: PhyloNetwork, sources: Iterable[int]) -> bytearray:
@@ -58,32 +48,6 @@ def is_antichain(net: PhyloNetwork, vertices: Iterable[int]) -> bool:
     return not any(below[v] for v in members)
 
 
-def max_antichain(net: PhyloNetwork) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    """A maximum antichain plus a witnessing minimum chain partition.
-
-    Chain cover via matching on the transitive closure (Dilworth): a
-    maximum matching of the comparability graph leaves n - |M| chains; the
-    vertices whose left and right copies both avoid a minimum vertex cover
-    form an antichain of exactly that size, so both witnesses certify each
-    other (|antichain| == |chains| is checked).
-    """
-    n = net.num_vertices
-    desc = _descendant_masks(net)
-    ids = tuple(range(n))
-    adj = tuple(tuple(v for v in range(n) if desc[u] >> v & 1) for u in range(n))
-    closure = BipartiteGraph(left_ids=ids, right_ids=ids, adj=adj)
-    m = max_matching(closure)
-    chains = _partition_from_matching(net, m).paths
-
-    cover_l, cover_r = min_vertex_cover(closure, m)
-    excluded = set(cover_l) | set(cover_r)
-    antichain = tuple(v for v in range(n) if v not in excluded)
-
-    if len(antichain) != len(chains) or not is_antichain(net, antichain):
-        raise RuntimeError("Dilworth witnesses disagree")
-    return antichain, chains
-
-
 @dataclass(frozen=True)
 class DisjointPathWitness:
     """Vertex-disjoint paths, one per antichain member, each ending at a leaf."""
@@ -92,7 +56,9 @@ class DisjointPathWitness:
 
 
 class _UnitFlow:
-    """Tiny arc-list max-flow network with BFS augmentation."""
+    """Tiny arc-list max-flow network with BFS augmentation.  Arc ``a`` is
+    even and its reverse ``a ^ 1`` has the flow on it (above any lower bound)
+    as capacity.  Nodes 2v and 2v + 1 are vertex v's in- and out-copy."""
 
     def __init__(self, n_nodes: int):
         self.head = [-1] * n_nodes
@@ -100,19 +66,21 @@ class _UnitFlow:
         self.cap: list[int] = []
         self.nxt: list[int] = []
 
-    def add(self, u: int, v: int, cap: int) -> int:
+    def add(self, u: int, v: int, cap: int, flow: int = 0) -> None:
         idx = len(self.to)
         self.to.append(v)
-        self.cap.append(cap)
+        self.cap.append(cap - flow)
         self.nxt.append(self.head[u])
         self.head[u] = idx
         self.to.append(u)
-        self.cap.append(0)
+        self.cap.append(flow)
         self.nxt.append(self.head[v])
         self.head[v] = idx + 1
-        return idx
 
-    def max_flow(self, s: int, t: int) -> int:
+    def max_flow(self, s: int, t: int) -> tuple[int, list[int]]:
+        """Augment along shortest paths until t is cut off from s.  Returns
+        the flow value and the labels of the last, failing search: -1 marks
+        every node that s no longer reaches."""
         total = 0
         n = len(self.head)
         while True:
@@ -129,7 +97,7 @@ class _UnitFlow:
                         queue.append(v)
                     a = self.nxt[a]
             if parent_arc[t] == -1:
-                return total
+                return total, parent_arc
             v = t
             while v != s:
                 a = parent_arc[v]
@@ -138,22 +106,70 @@ class _UnitFlow:
                 v = self.to[a ^ 1]
             total += 1
 
+    def follow(self, node: int, stop: int) -> list[int]:
+        """The vertices one unit of flow enters from ``node`` to ``stop``,
+        leaving each out-copy over its first arc in scan order with flow left.
+        The unit is consumed and the empty arcs passed over are unlinked."""
+        path = []
+        while True:
+            arc = self.head[node]
+            while arc != -1 and (arc & 1 or not self.cap[arc ^ 1]):
+                arc = self.nxt[arc]
+            self.head[node] = arc
+            if arc == -1:
+                raise RuntimeError("flow decoding lost its way")
+            self.cap[arc ^ 1] -= 1
+            step = self.to[arc]
+            if step == stop:
+                return path
+            path.append(step // 2)
+            node = step + 1
 
-def _leaf_path_flow(net: PhyloNetwork, members: tuple[int, ...], vertex_disjoint: bool):
-    """Max-flow network for routing each member to a distinct leaf."""
+
+def max_antichain(net: PhyloNetwork) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """A maximum antichain plus a witnessing minimum chain partition.
+
+    Dilworth by Fulkerson's minimum flow on the split DAG: v_in -> v_out
+    with lower bound 1, s -> v_in, v_out -> t and u_out -> v_in per arc
+    (u, v), all uncapped.  The trail walk's |X| + p paths seed the flow, and
+    the leaves are an antichain of |X|, so pushing flow back from t to s
+    takes at most p augmentations: O(p (n + m)) time, linear memory.  The
+    v whose v_out but not v_in t then reaches form an antichain as large as
+    the flow (checked).  The chains are the flow's units from s, each vertex
+    kept by the first unit through it, sorted by their first vertex.
+    """
     n = net.num_vertices
+    succ, pred, _ = zigzag_trails(net)
     source, sink = 2 * n, 2 * n + 1
+    free = n + 1  # more than any number of augmentations: uncapped
     flow = _UnitFlow(2 * n + 2)
-    through = 1 if vertex_disjoint else max(len(members), 1)
-    inner = [flow.add(2 * v, 2 * v + 1, through) for v in range(n)]
+    for v in range(n):
+        flow.add(2 * v, 2 * v + 1, free)
     for u, v in net.edges:
-        flow.add(2 * u + 1, 2 * v, 1)
-    for v in members:
-        flow.add(source, 2 * v, 1)
-    for x in net.leaves:
-        flow.add(2 * x + 1, sink, 1)
-    value = flow.max_flow(source, sink)
-    return flow, value, inner, sink
+        flow.add(2 * u + 1, 2 * v, free, 1 if succ[u] == v else 0)
+    # Only seed path starts and ends get s and t arcs: flow pushed from t to
+    # s never leaves s or enters t, so the other arcs would stay empty.
+    for v in range(n):
+        if pred[v] == -1:
+            flow.add(source, 2 * v, free, 1)
+        if succ[v] == -1:
+            flow.add(2 * v + 1, sink, free, 1)
+    seeded = pred.count(-1)
+    pushed, reached = flow.max_flow(sink, source)
+
+    antichain = tuple(v for v in range(n) if reached[2 * v] == -1 and reached[2 * v + 1] != -1)
+    taken = bytearray(n)
+    chains = []
+    for _ in range(seeded - pushed):
+        chain = [v for v in flow.follow(source, sink) if not taken[v]]
+        for v in chain:
+            taken[v] = 1
+        chains.append(tuple(chain))
+    chains.sort()
+
+    if len(antichain) != len(chains) or not is_antichain(net, antichain):
+        raise RuntimeError("Dilworth witnesses disagree")
+    return antichain, tuple(chains)
 
 
 def antichain_to_leaf(net: PhyloNetwork, antichain: Iterable[int]):
@@ -168,42 +184,22 @@ def antichain_to_leaf(net: PhyloNetwork, antichain: Iterable[int]):
     members = tuple(sorted(set(antichain)))
     if not is_antichain(net, members):
         raise ValueError("input vertex set is not an antichain")
-    flow, value, _, sink = _leaf_path_flow(net, members, vertex_disjoint=True)
-    if value != len(members):
+    n = net.num_vertices
+    source, sink = 2 * n, 2 * n + 1
+    flow = _UnitFlow(2 * n + 2)
+    for v in range(n):
+        flow.add(2 * v, 2 * v + 1, 1)
+    for u, v in net.edges:
+        flow.add(2 * u + 1, 2 * v, 1)
+    for v in members:
+        flow.add(source, 2 * v, 1)
+    for x in net.leaves:
+        flow.add(2 * x + 1, sink, 1)
+    if flow.max_flow(source, sink)[0] != len(members):
         return False, None
-
-    paths = []
-    for a in members:
-        path = [a]
-        node = 2 * a + 1  # a's out-copy; unit capacity makes the walk unique
-        while True:
-            arc = flow.head[node]
-            step = -1
-            while arc != -1:
-                # Forward arcs are even; used ones have no residual left.
-                if arc % 2 == 0 and flow.cap[arc] == 0 and flow.to[arc] != node:
-                    step = flow.to[arc]
-                    flow.cap[arc] = 1  # consume, so shared sinks are not reused
-                    break
-                arc = flow.nxt[arc]
-            if step == -1:
-                raise RuntimeError("flow decoding lost its way")
-            if step == sink:
-                break
-            vertex = step // 2
-            path.append(vertex)
-            node = 2 * vertex + 1
-        paths.append(tuple(path))
-    return True, DisjointPathWitness(tuple(paths))
-
-
-def antichain_to_leaf_edge_disjoint(net: PhyloNetwork, antichain: Iterable[int]) -> bool:
-    """Edge-disjoint variant (vertices may be shared); used as a cross-check."""
-    members = tuple(sorted(set(antichain)))
-    if not is_antichain(net, members):
-        raise ValueError("input vertex set is not an antichain")
-    _, value, _, _ = _leaf_path_flow(net, members, vertex_disjoint=False)
-    return value == len(members)
+    # unit capacities leave one unit, hence one path, through each member
+    paths = tuple((a, *flow.follow(2 * a + 1, sink)) for a in members)
+    return True, DisjointPathWitness(paths)
 
 
 def maximal_antichains(net: PhyloNetwork):
@@ -214,7 +210,10 @@ def maximal_antichains(net: PhyloNetwork):
     sizes the exhaustive checker permits.
     """
     n = net.num_vertices
-    desc = _descendant_masks(net)
+    desc = [0] * n  # strict-descendant bitmasks
+    for v in reversed(net.topological_order()):
+        for c in net.children[v]:
+            desc[v] |= (1 << c) | desc[c]
     anc = [0] * n
     for v in range(n):
         d = desc[v]
@@ -379,7 +378,7 @@ def temporal_violating_antichain(net: PhyloNetwork) -> tuple[int, ...]:
     ok, _ = is_temporal(net)
     if not ok:
         raise ValueError("network is not temporal")
-    fences = zigzag_trails(net)[1]
+    fences = zigzag_trails(net)[2]
     if not fences:
         raise ValueError("network is tree-based; no violating antichain exists")
     return _violating_antichain(net, fences[0])

@@ -9,9 +9,9 @@ a fixed envelope whose schema ships with the package as
 
 Each subcommand imports the modules it runs when it runs, so a query loads
 only its own layers: ``check``, ``indices``, ``paths``, ``spanning-tree``
-and ``complete`` load ``network``, the reader, ``matching`` and
-``treebased``; ``antichains``, ``generate`` and ``dot`` load only where
-they are used.
+and ``complete`` load ``network``, the reader and ``treebased``;
+``antichains``, ``generate`` and ``dot`` load only where they are used.
+No subcommand loads ``matching``, the reference route.
 """
 
 from __future__ import annotations
@@ -73,9 +73,9 @@ def _load(args) -> tuple[PhyloNetwork, str]:
     return parse_edgelist(text), digest
 
 
-def _write_network(path: str, fmt: str, net: PhyloNetwork, enewick_text: str) -> None:
-    """Write ``net`` in ``fmt``; ``enewick_text`` is its eNewick form."""
-    if fmt == "enewick":
+def _write_network(path: str, net: PhyloNetwork, enewick_text: str) -> None:
+    """Write ``net`` in the format of ``path``; ``enewick_text`` is its eNewick form."""
+    if _detect_format(path, None) == "enewick":
         _write_text(path, enewick_text)
     else:
         from .edgelist import serialize_edgelist
@@ -241,13 +241,12 @@ def cmd_spanning_tree(args) -> int:
 
 
 def cmd_complete(args) -> int:
-    from .matching import zigzag_trails
-    from .treebased import tree_based_completion
+    from .treebased import tree_based_completion, zigzag_trails
 
     started = time.perf_counter()
     net, digest = _load(args)
     result = tree_based_completion(net)
-    if zigzag_trails(result.network)[1]:
+    if zigzag_trails(result.network)[2]:
         raise RuntimeError("the completed network still has a W-fence")
     text = serialize_enewick(result.network)
     payload = {
@@ -258,7 +257,7 @@ def cmd_complete(args) -> int:
     }
     human = [f"attached {len(result.attached_edges)} leaf(s)", text]
     if args.out:
-        _write_network(args.out, _detect_format(args.out, args.format), result.network, text)
+        _write_network(args.out, result.network, text)
     if args.dot:
         from .dot import export_dot
 
@@ -269,7 +268,8 @@ def cmd_complete(args) -> int:
 
 
 def _resolve_vertices(net: PhyloNetwork, spec: str) -> tuple[int, ...]:
-    """Tokens are leaf labels when they match one, else integer ids."""
+    """Tokens are leaf labels when they match one, else integer ids; a
+    repeated vertex is kept once, where it first appears."""
     out = []
     for token in spec.split(","):
         token = token.strip()
@@ -287,7 +287,7 @@ def _resolve_vertices(net: PhyloNetwork, spec: str) -> tuple[int, ...]:
         out.append(vid)
     if not out:
         raise CliError("--set needs at least one vertex")
-    return tuple(out)
+    return tuple(dict.fromkeys(out))
 
 
 def cmd_antichain(args) -> int:
@@ -334,7 +334,7 @@ def cmd_antichain(args) -> int:
 
 def cmd_temporal(args) -> int:
     from .antichains import _violating_antichain, is_temporal
-    from .matching import zigzag_trails
+    from .treebased import zigzag_trails
 
     started = time.perf_counter()
     net, digest = _load(args)
@@ -343,7 +343,7 @@ def cmd_temporal(args) -> int:
                "ranks": list(tmap.ranks) if tmap else None,
                "violating_antichain": None}
     human = [f"temporal: {'yes' if temporal else 'no'}"]
-    fences = zigzag_trails(net)[1] if temporal else ()
+    fences = zigzag_trails(net)[2] if temporal else ()
     if fences:
         violating = _violating_antichain(net, fences[0])
         payload["violating_antichain"] = list(violating)
@@ -373,7 +373,7 @@ def cmd_gen(args) -> int:
                "num_vertices": net.num_vertices, "network": text}
     digest = hashlib.sha256(text.encode()).hexdigest()
     if args.out:
-        _write_network(args.out, _detect_format(args.out, None), net, text)
+        _write_network(args.out, net, text)
         human = [f"wrote {args.out}"]
     else:
         human = [text]

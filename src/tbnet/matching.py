@@ -1,19 +1,16 @@
-"""The zig-zag trail walk, and general bipartite matching.
+"""General bipartite matching: the reference route.
 
 The path graph G_N (``build_gn``) has an edge (u-left, v-right) for every
-arc (u, v); its maximum matchings give minimum path partitions.  In a
-binary network G_N has maximum degree 2, so it splits into maximal zig-zag
-trails t0 -> h1 <- t1 -> h2 <- ...: crowns (cycles) and fences (paths).
-:func:`zigzag_trails` walks them in one linear pass and is the engine of
-every tree-based query.  Its W-fences, with out-degree-1 tails at both
-ends, number exactly p, and each one is a failure witness.
-
-Hopcroft-Karp (:func:`max_matching`) and König's cover serve the antichain
-closure.  With ``build_gn``, ``build_zn`` (reticulation parents against
-reticulations) and ``reticulation_saturating`` they are also the
-independent reference route the walk is tested against.  The matcher
+arc (u, v); its maximum matchings give minimum path partitions.  The
+saturation graph Z_N (``build_zn``) pairs reticulation parents with
+reticulations.  No query runs this module: the tree-based queries use the
+zig-zag trail walk (:func:`tbnet.treebased.zigzag_trails`) and the
+antichain queries a unit flow.  Hopcroft-Karp (:func:`max_matching`),
+König's cover, ``build_gn``, ``build_zn`` and ``reticulation_saturating``
+are the independent route the tests compare those engines against, and
+:func:`find_rr_path` reads the walk's witness in Z_N terms.  The matcher
 breaks ties deterministically (ascending left vertices, sorted adjacency)
-and, like the walk, is iterative throughout.
+and is iterative throughout.
 """
 
 from __future__ import annotations
@@ -22,6 +19,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .network import PhyloNetwork, tree_vertices_with_reticulation_child
+from .treebased import zigzag_trails
 
 _INF = float("inf")
 
@@ -132,10 +130,6 @@ def max_matching(g: BipartiteGraph) -> Matching:
             if match_l[u] == -1:
                 dfs(u)
 
-    return _matching(match_l, match_r)
-
-
-def _matching(match_l: list[int], match_r: list[int]) -> Matching:
     return Matching(
         pairs=tuple((u, v) for u, v in enumerate(match_l) if v != -1),
         left_match=tuple(match_l),
@@ -145,22 +139,29 @@ def _matching(match_l: list[int], match_r: list[int]) -> Matching:
     )
 
 
+def _require(ok: bool, message: str) -> None:
+    # Not an assert: the reference checks must hold under python -O too.
+    if not ok:
+        raise AssertionError(message)
+
+
 def verify_matching(g: BipartiteGraph, m: Matching) -> None:
     """Raise AssertionError unless ``m`` is a consistent matching of ``g``."""
     seen_l: set[int] = set()
     seen_r: set[int] = set()
     for u, v in m.pairs:
-        assert v in g.adj[u], f"matched pair ({u}, {v}) is not an edge"
-        assert u not in seen_l and v not in seen_r, "vertex matched twice"
+        _require(v in g.adj[u], f"matched pair ({u}, {v}) is not an edge")
+        _require(u not in seen_l and v not in seen_r, "vertex matched twice")
         seen_l.add(u)
         seen_r.add(v)
-        assert m.left_match[u] == v and m.right_match[v] == u
+        _require(m.left_match[u] == v and m.right_match[v] == u,
+                 f"pair ({u}, {v}) disagrees with the match arrays")
     for u in m.unmatched_left:
-        assert m.left_match[u] == -1
+        _require(m.left_match[u] == -1, f"left {u} is listed unmatched but matched")
     for v in m.unmatched_right:
-        assert m.right_match[v] == -1
-    assert len(m.unmatched_left) + len(m.pairs) == g.n_left
-    assert len(m.unmatched_right) + len(m.pairs) == g.n_right
+        _require(m.right_match[v] == -1, f"right {v} is listed unmatched but matched")
+    _require(len(m.unmatched_left) + len(m.pairs) == g.n_left, "left side miscounted")
+    _require(len(m.unmatched_right) + len(m.pairs) == g.n_right, "right side miscounted")
 
 
 def has_augmenting_path(g: BipartiteGraph, m: Matching) -> bool:
@@ -185,7 +186,7 @@ def has_augmenting_path(g: BipartiteGraph, m: Matching) -> bool:
 
 def assert_maximum(g: BipartiteGraph, m: Matching) -> None:
     verify_matching(g, m)
-    assert not has_augmenting_path(g, m), "matching admits an augmenting path"
+    _require(not has_augmenting_path(g, m), "matching admits an augmenting path")
 
 
 def min_vertex_cover(g: BipartiteGraph, m: Matching) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -243,60 +244,10 @@ def reticulation_saturating(net: PhyloNetwork) -> tuple[bool, Matching]:
     return m.size == zn.n_right, m
 
 
-def zigzag_trails(net: PhyloNetwork) -> tuple[Matching, tuple[tuple[int, ...], ...]]:
-    """Walk the maximal zig-zag trails of the path graph once.
-
-    Fences are walked from an end, smallest-id end first, then crowns.
-    Every other arc of a trail, from its first, joins the matching: no
-    matching meets a path or even cycle of e arcs in more than ceil(e/2)
-    arcs, so this is a maximum matching of ``build_gn(net)``.
-
-    Also returns the W-fences as sequences t0, h1, t1, ..., hk, tk, each
-    starting at its smaller end reticulation (h1 or hk; at the smaller end
-    tail when k = 1) and sorted by it: the first is the failure witness.
-    """
-    n = net.num_vertices
-    nbrs = (net.children, net.parents)  # side 0: tails (left), 1: heads (right)
-    match = ([-1] * n, [-1] * n)
-    seen = (bytearray(n), bytearray(n))
-
-    def walk(v: int, side: int) -> list[int]:
-        trail, prev, take = [], -1, True
-        while True:
-            trail.append(v)
-            seen[side][v] = 1
-            ws = nbrs[side][v]
-            w = ws[-1] if ws[0] == prev else ws[0]
-            if w == prev or seen[1 - side][w]:
-                return trail  # the far end of a fence, or a crown closed
-            if take:
-                match[side][v] = w
-                match[1 - side][w] = v
-            take = not take
-            prev, v, side = v, w, 1 - side
-
-    out_degree, in_degree = net.out_degree, net.in_degree
-    fences = []
-    for v in range(n):
-        if out_degree[v] == 1 and not seen[0][v]:
-            trail = walk(v, 0)
-            if len(trail) % 2:  # ends at a tail too: a W-fence
-                if (trail[1], trail[0]) > (trail[-2], trail[-1]):
-                    trail.reverse()
-                fences.append(tuple(trail))
-        if in_degree[v] == 1 and not seen[1][v]:
-            walk(v, 1)
-    for v in range(n):
-        if out_degree[v] == 2 and not seen[0][v]:
-            walk(v, 0)
-    fences.sort(key=lambda f: f[1])
-    return _matching(*match), tuple(fences)
-
-
 def find_rr_path(net: PhyloNetwork) -> tuple[int, ...] | None:
     """The first W-fence without its end tails, or None if there is none:
     a maximal path of the saturation graph ``build_zn`` with reticulations
     at both ends.  The walk uses no :func:`max_matching`, so agreement with
     :func:`reticulation_saturating` is a real two-route check."""
-    fences = zigzag_trails(net)[1]
+    fences = zigzag_trails(net)[2]
     return fences[0][1:-1] if fences else None

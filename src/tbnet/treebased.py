@@ -12,11 +12,11 @@ measures quantify how far a network is from that property:
   subdivision) to make the network tree-based.
 
 All three equal the number of W-fences of the path graph, which one
-zig-zag trail walk (:func:`~tbnet.matching.zigzag_trails`) counts.  The same
-walk gives the witnesses: its maximum matching yields a minimum path
-partition, a spanning tree realizing ``l`` and a completion realizing
-``t``, and its first W-fence is the failure witness.  Each query walks
-once; the completion writes its edge list in one pass and builds once.
+zig-zag trail walk (:func:`zigzag_trails`) counts.  The same walk gives the
+witnesses: its maximum matching chains a minimum path partition, from which
+follow a spanning tree realizing ``l`` and a completion realizing ``t``, and
+its first W-fence is the failure witness.  Each query walks once; the
+completion writes its edge list in one pass and builds once.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from dataclasses import asdict, dataclass
 from itertools import count
 from typing import Union
 
-from .matching import Matching, zigzag_trails
 from .network import Edge, PhyloNetwork
 
 
@@ -99,18 +98,69 @@ class FailureWitness:
 TreeBasedCertificate = Union[BaseTreeCertificate, FailureWitness]
 
 
-def _partition_from_matching(net: PhyloNetwork, m: Matching) -> PathPartition:
-    # Path starts are exactly the right-unmatched vertices; successor edges
-    # are the matched pairs.  The root is always a start (in-degree 0).
-    left_match = m.left_match
+def zigzag_trails(net: PhyloNetwork) -> tuple[list[int], list[int], tuple[tuple[int, ...], ...]]:
+    """Walk the maximal zig-zag trails of the path graph once.
+
+    The path graph, an edge (u-left, v-right) per arc (u, v), has maximum
+    degree 2 in a binary network, so it splits into zig-zag trails t0 -> h1
+    <- t1 -> h2 <- ...: crowns (cycles) and fences (paths).  Fences are
+    walked from an end, smallest-id end first, then crowns.  Every other
+    arc of a trail, from its first, is taken: no matching meets a path or
+    even cycle of e arcs in more than ceil(e/2) arcs, so the taken arcs are
+    a maximum matching.  Returns them as lists ``succ`` and ``pred``
+    (``succ[u] == v``, ``pred[v] == u``, else -1), and the W-fences t0, h1,
+    t1, ..., hk, tk, each from its smaller end reticulation (end tail when
+    k = 1) and sorted by it: the first is the failure witness.
+    """
+    n = net.num_vertices
+    nbrs = (net.children, net.parents)  # side 0: tails, 1: heads
+    match = ([-1] * n, [-1] * n)
+    seen = (bytearray(n), bytearray(n))
+
+    def walk(v: int, side: int) -> list[int]:
+        trail, prev, take = [], -1, True
+        while True:
+            trail.append(v)
+            seen[side][v] = 1
+            ws = nbrs[side][v]
+            w = ws[-1] if ws[0] == prev else ws[0]
+            if w == prev or seen[1 - side][w]:
+                return trail  # the far end of a fence, or a crown closed
+            if take:
+                match[side][v] = w
+                match[1 - side][w] = v
+            take = not take
+            prev, v, side = v, w, 1 - side
+
+    out_degree, in_degree = net.out_degree, net.in_degree
+    fences = []
+    for v in range(n):
+        if out_degree[v] == 1 and not seen[0][v]:
+            trail = walk(v, 0)
+            if len(trail) % 2:  # ends at a tail too: a W-fence
+                if (trail[1], trail[0]) > (trail[-2], trail[-1]):
+                    trail.reverse()
+                fences.append(tuple(trail))
+        if in_degree[v] == 1 and not seen[1][v]:
+            walk(v, 1)
+    for v in range(n):
+        if out_degree[v] == 2 and not seen[0][v]:
+            walk(v, 0)
+    fences.sort(key=lambda f: f[1])
+    return match[0], match[1], tuple(fences)
+
+
+def _chained_paths(net: PhyloNetwork, succ: list[int], pred: list[int]) -> PathPartition:
+    # Paths start at the vertices without a predecessor and follow successors.
     paths = []
-    for start in m.unmatched_right:
-        path = [start]
-        v = left_match[start]
-        while v != -1:
-            path.append(v)
-            v = left_match[v]
-        paths.append(tuple(path))
+    for start in range(net.num_vertices):
+        if pred[start] == -1:
+            path = [start]
+            v = succ[start]
+            while v != -1:
+                path.append(v)
+                v = succ[v]
+            paths.append(tuple(path))
     if sum(map(len, paths)) != net.num_vertices:
         raise RuntimeError("the path partition does not hold every vertex")
     return PathPartition(tuple(paths))
@@ -119,18 +169,18 @@ def _partition_from_matching(net: PhyloNetwork, m: Matching) -> PathPartition:
 def vertex_disjoint_paths(net: PhyloNetwork) -> PathPartition:
     """A minimum partition of the vertices into vertex-disjoint directed paths.
 
-    Computed from the trail walk's maximum matching of the path graph:
-    unmatched right vertices start paths, matched edges chain them.  The
-    number of paths is always ``u_gn`` (= number of unmatched left vertices).
+    Chained from the trail walk's maximum matching of the path graph:
+    vertices without a predecessor start paths, successors extend them.
+    The number of paths is always ``u_gn`` = p + |X|.
     """
-    return _partition_from_matching(net, zigzag_trails(net)[0])
+    succ, pred, _ = zigzag_trails(net)
+    return _chained_paths(net, succ, pred)
 
 
 def deviation_indices(net: PhyloNetwork) -> DeviationReport:
     """Compute l, p, t (the W-fence count) plus the raw quantities."""
-    m, fences = zigzag_trails(net)
-    p, x = len(fences), len(net.leaves)
-    return DeviationReport(l=p, p=p, t=p, u_gn=len(m.unmatched_left), x_size=x, d=p + x)
+    p, x = len(zigzag_trails(net)[2]), len(net.leaves)
+    return DeviationReport(l=p, p=p, t=p, u_gn=p + x, x_size=x, d=p + x)
 
 
 def rooted_spanning_tree(net: PhyloNetwork) -> SpanningTree:
@@ -161,10 +211,10 @@ def is_tree_based(net: PhyloNetwork) -> tuple[bool, TreeBasedCertificate]:
     Positive answers carry a base tree; negative answers carry the first
     W-fence as the witness, with its unsatisfiable (u1, u2) pair.
     """
-    m, fences = zigzag_trails(net)
+    succ, pred, fences = zigzag_trails(net)
     if fences:
         return False, _failure_witness(net, fences[0])
-    tree = _spanning_tree(net, _partition_from_matching(net, m))
+    tree = _spanning_tree(net, _chained_paths(net, succ, pred))
     if tree.unlabeled_leaves(net):
         raise ValueError("no W-fence, yet the base tree has an unlabeled leaf")
     return True, BaseTreeCertificate(tree)

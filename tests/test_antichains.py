@@ -1,10 +1,10 @@
 import pytest
 
 from tbnet import (
+    BipartiteGraph,
     GenSpec,
     PhyloNetwork,
     antichain_to_leaf,
-    antichain_to_leaf_edge_disjoint,
     deviation_indices,
     generate,
     has_antichain_to_leaf_property,
@@ -12,6 +12,7 @@ from tbnet import (
     is_temporal,
     is_tree_based,
     max_antichain,
+    max_matching,
     maximal_antichains,
     temporal_violating_antichain,
     verify_temporal_map,
@@ -69,11 +70,36 @@ def test_max_antichain_singleton():
     assert antichain == (0,) and chains == ((0,),)
 
 
+def assert_chain_partition(net, chains, reach):
+    assert sorted(v for c in chains for v in c) == list(range(net.num_vertices))
+    for chain in chains:
+        assert all(b in reach[a] for a, b in zip(chain, chain[1:]))
+    assert [c[0] for c in chains] == sorted(c[0] for c in chains)
+
+
 def test_max_antichain_matches_oracle():
-    for net in corpus(100, seed_base=8000, max_vertices=16):
+    for net in corpus(300, seed_base=8000, max_vertices=16):
         antichain, chains = max_antichain(net)
         assert is_antichain(net, antichain)
         assert len(antichain) == len(chains) == oracle_max_antichain(net)
+        assert_chain_partition(net, chains, _reach_sets(net))
+        width = len(antichain)
+        assert len(net.leaves) <= width <= len(net.leaves) + deviation_indices(net).p
+
+
+@pytest.mark.parametrize("leaves, retics, seed", [(100, 60, 1), (300, 200, 2)])
+def test_max_antichain_matches_the_closure_matching(leaves, retics, seed):
+    # beyond any oracle: Dilworth through Hopcroft-Karp on the transitive
+    # closure, which leaves n - |M| chains
+    net = generate(GenSpec(leaves, retics, seed=seed))
+    reach = _reach_sets(net)
+    n = net.num_vertices
+    ids = tuple(range(n))
+    closure = BipartiteGraph(ids, ids, tuple(tuple(sorted(r)) for r in reach))
+    antichain, chains = max_antichain(net)
+    assert n - max_matching(closure).size == len(antichain)
+    assert is_antichain(net, antichain)
+    assert_chain_partition(net, chains, reach)
 
 
 def test_antichain_to_leaf_on_leaves_is_trivial(killer):
@@ -104,16 +130,6 @@ def test_antichain_to_leaf_witness_shape(killer):
 def test_antichain_to_leaf_rejects_non_antichain(killer):
     with pytest.raises(ValueError):
         antichain_to_leaf(killer, (killer.root, killer.leaves[0]))
-
-
-def test_vertex_disjoint_implies_edge_disjoint():
-    for net in corpus(60, seed_base=9000, max_vertices=14):
-        if net.num_vertices == 1:
-            continue
-        antichain, _ = max_antichain(net)
-        vertex_ok, _ = antichain_to_leaf(net, antichain)
-        if vertex_ok:
-            assert antichain_to_leaf_edge_disjoint(net, antichain)
 
 
 def test_maximal_antichains_complete_and_maximal(killer):

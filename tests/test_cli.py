@@ -12,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from tbnet import PhyloNetwork, is_temporal, is_tree_based, parse_enewick, parse_edgelist
 from tbnet.cli import _json_text, main
-from tbnet.matching import zigzag_trails
+from tbnet.treebased import zigzag_trails
 
 from conftest import FIXTURES, run_python
 
@@ -223,6 +223,19 @@ def test_complete_out_edgelist(capsys, tmp_path):
     assert is_tree_based(completed)[0]
 
 
+def test_complete_out_takes_its_format_from_the_out_path(capsys, tmp_path):
+    # the input's --format describes the input only
+    source = tmp_path / "in.txt"
+    source.write_text((FIXTURES / "deviation_one.edges").read_text())
+    out_file = tmp_path / "out.nwk"
+    code, env, _ = run_json(capsys, "complete", str(source), "--format", "edgelist",
+                            "--out", str(out_file))
+    assert code == 0
+    assert out_file.read_text().rstrip("\n") == env["payload"]["network"]
+    code, env, _ = run_json(capsys, "check", str(out_file))
+    assert code == 0 and env["payload"]["tree_based"] is True
+
+
 def test_antichain_max(capsys):
     code, env, _ = run_json(capsys, "antichain", fixture_path("killer.edges"), "--max")
     assert code == 0
@@ -235,6 +248,17 @@ def test_antichain_set_routes(capsys):
     assert code == 0
     assert env["payload"]["routes_to_leaves"] is True
     assert len(env["payload"]["paths"]) == 3
+
+
+def test_antichain_set_keeps_each_member_once(capsys):
+    killer = parse_edgelist((FIXTURES / "killer.edges").read_text())
+    x = killer.vertex_by_label("x")
+    code, env, _ = run_json(capsys, "antichain", fixture_path("killer.edges"),
+                            "--set", f"x,x,{x},y")
+    assert code == 0
+    payload = env["payload"]
+    assert payload["set"] == [x, killer.vertex_by_label("y")]
+    assert len(payload["paths"]) == len(payload["set"])
 
 
 def test_antichain_set_rejects_non_antichain(capsys):

@@ -16,9 +16,13 @@ LOADED = (
     "sys.stderr.write(' '.join(sorted(sys.modules)))\n"
     "sys.exit(code)\n"
 )
-# Modules a query must not load: the tree-based queries, and gen.
-NOT_TREE_BASED = {"tbnet.antichains", "tbnet.generate", "tbnet.dot", "fractions"}
+# Modules a query must not load: the tree-based queries, antichain --max,
+# and gen.  No query loads matching, the reference route.
+NOT_TREE_BASED = {"tbnet.antichains", "tbnet.generate", "tbnet.dot", "tbnet.matching",
+                  "fractions"}
+NOT_ANTICHAIN = NOT_TREE_BASED - {"tbnet.antichains"}
 NOT_GEN = {"tbnet.antichains", "tbnet.dot", "tbnet.treebased", "tbnet.matching", "fractions"}
+ABSENT = {"antichain": NOT_ANTICHAIN, "gen": NOT_GEN}
 
 
 @pytest.mark.parametrize("argv", [
@@ -28,10 +32,11 @@ NOT_GEN = {"tbnet.antichains", "tbnet.dot", "tbnet.treebased", "tbnet.matching",
     ("paths", "killer.edges"),
     ("spanning-tree", "deviation_one.nwk"),
     ("complete", "deviation_one.nwk"),
+    ("antichain", "--max", "killer.edges"),
     ("gen", "--leaves", "5", "--retics", "2"),
 ], ids=" ".join)
 def test_a_query_loads_only_its_own_modules(argv):
-    absent = NOT_GEN if argv[0] == "gen" else NOT_TREE_BASED
+    absent = ABSENT.get(argv[0], NOT_TREE_BASED)
     argv = [str(FIXTURES / a) if a.endswith((".nwk", ".edges")) else a for a in argv]
     proc = run_python("-c", LOADED, *argv, "--json")
     assert proc.returncode in (0, 1), proc.stderr

@@ -3,6 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from tbnet import (
     BipartiteGraph,
+    Matching,
     build_gn,
     build_zn,
     find_rr_path,
@@ -10,10 +11,11 @@ from tbnet import (
     min_vertex_cover,
     reticulation_saturating,
 )
-from tbnet.matching import assert_maximum, verify_matching, zigzag_trails
+from tbnet.matching import assert_maximum, verify_matching
 from tbnet.oracles import oracle_max_matching_size
+from tbnet.treebased import zigzag_trails
 
-from conftest import corpus
+from conftest import corpus, run_python
 
 
 def random_bipartite(draw, max_left=6, max_right=6):
@@ -51,6 +53,27 @@ def test_konig_cover(graph):
     for u in range(graph.n_left):
         for v in graph.adj[u]:
             assert u in left_cover or v in right_cover
+
+
+def test_reference_checks_hold_under_optimisation():
+    # python -O strips assert statements; the reference checks must not rely on them
+    script = (
+        "import sys\n"
+        "from tbnet import BipartiteGraph, Matching\n"
+        "from tbnet.matching import assert_maximum, verify_matching\n"
+        "g = BipartiteGraph((0, 1), (0, 1), ((0,), (0, 1)))\n"
+        "bogus = Matching(((0, 1),), (1, -1), (-1, 0), (1,), (0,))\n"
+        "empty = Matching((), (-1, -1), (-1, -1), (0, 1), (0, 1))\n"
+        "rejected = 0\n"
+        "for check, m in ((verify_matching, bogus), (assert_maximum, empty)):\n"
+        "    try:\n"
+        "        check(g, m)\n"
+        "    except AssertionError:\n"
+        "        rejected += 1\n"
+        "sys.exit(10 + rejected)\n"
+    )
+    proc = run_python("-O", "-c", script)
+    assert proc.returncode == 12, proc.stderr
 
 
 def test_matching_deterministic():
@@ -126,7 +149,14 @@ def test_two_routes_agree_on_corpus():
         assert saturating == (find_rr_path(net) is None)
         # the trail walk against Hopcroft-Karp on the path graph
         gn = build_gn(net)
-        walked, fences = zigzag_trails(net)
+        succ, pred, fences = zigzag_trails(net)
+        walked = Matching(
+            pairs=tuple((u, v) for u, v in enumerate(succ) if v != -1),
+            left_match=tuple(succ),
+            right_match=tuple(pred),
+            unmatched_left=tuple(u for u, v in enumerate(succ) if v == -1),
+            unmatched_right=tuple(v for v, u in enumerate(pred) if u == -1),
+        )
         assert_maximum(gn, walked)
         assert len(fences) == len(max_matching(gn).unmatched_left) - len(net.leaves)
 
