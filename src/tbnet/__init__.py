@@ -32,9 +32,8 @@ _EXPORTS = {
         "max_matching", "min_vertex_cover", "reticulation_saturating",
     ),
     "network": (
-        "Digraph", "EdgeKind", "InvalidNetworkError", "PhyloNetwork",
-        "ValidationReport", "VertexKind", "Violation", "attach_leaf", "classify",
-        "edge_kind", "subdivide_edge", "validate",
+        "Digraph", "InvalidNetworkError", "PhyloNetwork", "ValidationReport",
+        "Violation", "attach_leaf", "validate",
     ),
     "treebased": (
         "BaseTreeCertificate", "CompletionResult", "DeviationReport",

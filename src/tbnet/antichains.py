@@ -17,8 +17,7 @@ behind the size-bounded exhaustive check, holds descendant bitmasks.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .network import PhyloNetwork
 from .treebased import _failure_witness, deviation_indices, zigzag_trails
@@ -48,8 +47,7 @@ def is_antichain(net: PhyloNetwork, vertices: Iterable[int]) -> bool:
     return not any(below[v] for v in members)
 
 
-@dataclass(frozen=True)
-class DisjointPathWitness:
+class DisjointPathWitness(NamedTuple):
     """Vertex-disjoint paths, one per antichain member, each ending at a leaf."""
 
     paths: tuple[tuple[int, ...], ...]
@@ -284,8 +282,7 @@ def has_antichain_to_leaf_property(
     return True
 
 
-@dataclass(frozen=True)
-class TemporalMap:
+class TemporalMap(NamedTuple):
     """A time assignment: equal across reticulation edges, increasing along
     tree edges.  ``ranks[v]`` is the time of vertex v."""
 

@@ -11,15 +11,20 @@ Each subcommand imports the modules it runs when it runs, so a query loads
 only its own layers: ``check``, ``indices``, ``paths``, ``spanning-tree``
 and ``complete`` load ``network``, the reader and ``treebased``;
 ``antichains``, ``generate`` and ``dot`` load only where they are used.
-No subcommand loads ``matching``, the reference route.
+No subcommand loads ``matching``, the reference route, or ``dataclasses``.
+:func:`main` turns the cyclic garbage collector off while a query runs,
+since a query's structures hold no reference cycles, and restores the
+caller's setting on return.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import sys
 import time
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 from . import __version__
@@ -36,16 +41,14 @@ class CliError(Exception):
     """Usage or input problem; maps to exit code 2."""
 
 
-def _detect_format(path: str, explicit: str | None) -> str:
-    if explicit:
-        return explicit
+def _detect_format(path: str) -> str | None:
+    """The format the extension of ``path`` names (eNewick for stdin), or None."""
     if path == "-":
         return "enewick"
     for ext, fmt in EXT_FORMATS.items():
         if path.endswith(ext):
             return fmt
-    raise CliError(
-        f"cannot infer format from {path!r}; pass --format enewick|edgelist")
+    return None
 
 
 def _read_input(path: str) -> tuple[str, str]:
@@ -66,7 +69,11 @@ def _read_input(path: str) -> tuple[str, str]:
 
 def _load(args) -> tuple[PhyloNetwork, str]:
     text, digest = _read_input(args.input)
-    if _detect_format(args.input, args.format) == "enewick":
+    fmt = args.format or _detect_format(args.input)
+    if fmt is None:
+        raise CliError(
+            f"cannot infer format from {args.input!r}; pass --format enewick|edgelist")
+    if fmt == "enewick":
         return parse_enewick(text), digest
     from .edgelist import parse_edgelist
 
@@ -75,7 +82,11 @@ def _load(args) -> tuple[PhyloNetwork, str]:
 
 def _write_network(path: str, net: PhyloNetwork, enewick_text: str) -> None:
     """Write ``net`` in the format of ``path``; ``enewick_text`` is its eNewick form."""
-    if _detect_format(path, None) == "enewick":
+    fmt = _detect_format(path)
+    if fmt is None:
+        raise CliError(f"cannot infer format from {path!r}; "
+                       f"give it one of the extensions {' '.join(EXT_FORMATS)}")
+    if fmt == "enewick":
         _write_text(path, enewick_text)
     else:
         from .edgelist import serialize_edgelist
@@ -98,13 +109,19 @@ def _json_text(obj, newline: str = "\n") -> str:
     dicts with str keys, lists, tuples, str, int, float, bool and None.
     ``newline`` is a newline plus the indent of the line ``obj`` is on.
     The json module writes indented output in pure Python, one call per
-    value; this joins each all-int list in one step."""
+    value; this joins each all-int list in one step, and each list of
+    non-empty all-int lists (edges, paths) without a call per inner list."""
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
         inner = newline + "  "
         if all(type(x) is int for x in obj):
             items = map(int.__repr__, obj)
+        elif (set(map(type, obj)) == {list} and all(obj)
+              and set(map(type, chain.from_iterable(obj))) == {int}):
+            sep = "," + inner + "  "
+            items = ["[" + inner + "  " + sep.join(map(int.__repr__, x)) + inner + "]"
+                     for x in obj]
         else:
             items = [_json_text(x, inner) for x in obj]
         return "[" + inner + ("," + inner).join(items) + newline + "]"
@@ -470,6 +487,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    # A query builds up to one tuple or list of ints per vertex and arc but
+    # no reference cycle, so reference counting frees all of it; the cyclic
+    # collector would only rescan it.  The caller's setting is restored.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except (CliError, ParseError, InvalidNetworkError) as exc:
@@ -480,6 +502,9 @@ def main(argv=None) -> int:
 
         print(f"internal error: {traceback.format_exc()}", file=sys.stderr, end="")
         return 3
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -22,7 +22,7 @@ here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .network import PhyloNetwork
 
@@ -60,8 +60,7 @@ class GenerationError(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
-class GenSpec:
+class GenSpec(NamedTuple):
     """What to generate: leaf count, reticulation count, seed, and whether
     to keep sampling until the result is temporal."""
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .network import PhyloNetwork, tree_vertices_with_reticulation_child
+from .network import PhyloNetwork
 from .treebased import zigzag_trails
 
 _INF = float("inf")
@@ -226,10 +226,12 @@ def build_gn(net: PhyloNetwork) -> BipartiteGraph:
 
 
 def build_zn(net: PhyloNetwork) -> BipartiteGraph:
-    """Bipartite saturation graph: reticulation parents vs reticulations."""
-    lefts = tree_vertices_with_reticulation_child(net)
+    """Bipartite saturation graph: tree vertices (the root included) that
+    parent a reticulation vs reticulations."""
     rights = tuple(net.reticulations)
     rindex = {r: j for j, r in enumerate(rights)}
+    lefts = tuple(v for v in range(net.num_vertices)
+                  if net.out_degree[v] == 2 and any(c in rindex for c in net.children[v]))
     adj = tuple(
         tuple(rindex[c] for c in net.children[t] if c in rindex)
         for t in lefts

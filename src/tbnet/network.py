@@ -6,42 +6,37 @@ vertices of in-degree 1 and out-degree 2, and reticulations of in-degree 2
 and out-degree 1.  A single labeled vertex (no edges) is allowed as the
 one-leaf degenerate case.
 
-Vertices are dense non-negative integers ``0..n-1``.  Construction is one
-validating pass that also builds the adjacency and the topological order.
-All structures are immutable after construction; editing operations return
+Vertices are dense non-negative integers ``0..n-1``.  Construction builds
+the adjacency once and accepts a valid graph with a few whole-graph tests;
+only a rejected graph runs the full pass of :func:`validate`, which names
+every broken rule.  The topological order is computed on first use.  All
+structures are immutable after construction; editing operations return
 new objects, each rebuilt, so bulk edits write the edge list once instead.
+The records are ``NamedTuple``s, so they compare equal to plain tuples.
 """
 
 from __future__ import annotations
 
 import heapq
 import re
-from dataclasses import dataclass, field
-from enum import Enum
+from itertools import chain
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 Edge = tuple[int, int]
 
 # The label lexicon both serializers can write back; validation enforces it
 # so a valid network never silently breaks a round trip.
 LABEL_RE = re.compile(r"[A-Za-z0-9_.+|-]+")
+# Labels joined by newlines, which the lexicon excludes: one match checks
+# them all.
+_LABELS_RE = re.compile(rf"{LABEL_RE.pattern}(?:\n{LABEL_RE.pattern})*")
+# Degree signatures (in, out) of the root, a leaf, a tree vertex and a
+# reticulation.
+_SIGNATURES = frozenset(((0, 2), (1, 0), (1, 2), (2, 1)))
 
 
-class VertexKind(Enum):
-    ROOT = "root"
-    LEAF = "leaf"
-    TREE = "tree"
-    RETICULATION = "reticulation"
-
-
-class EdgeKind(Enum):
-    TREE_EDGE = "tree"
-    RETICULATION_EDGE = "reticulation"
-
-
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """One broken validation rule: rule id, offending ids, readable message."""
 
     rule: str
@@ -49,8 +44,7 @@ class Violation:
     message: str
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     ok: bool
     violations: tuple[Violation, ...] = ()
 
@@ -68,17 +62,13 @@ class InvalidNetworkError(ValueError):
         self.report = report
 
 
-@dataclass(frozen=True)
-class Digraph:
-    """A raw candidate graph: what parsers and edit operations produce.
-
-    Not necessarily a valid network; run :func:`validate` or hand it to
-    :meth:`PhyloNetwork.from_digraph`.
-    """
+class Digraph(NamedTuple):
+    """A raw candidate graph, not necessarily a valid network: what
+    :func:`validate` checks."""
 
     num_vertices: int
     edges: tuple[Edge, ...]
-    leaf_labels: Mapping[int, str] = field(default_factory=dict)
+    leaf_labels: Mapping[int, str] = MappingProxyType({})
 
 
 def validate(graph: Digraph) -> ValidationReport:
@@ -90,19 +80,11 @@ def validate(graph: Digraph) -> ValidationReport:
     when there are no edges), and leaf labels a bijection onto the
     out-degree-0 vertices, drawn from the lexicon every serializer accepts.
     """
-    bad = _build(graph.num_vertices, graph.edges, graph.leaf_labels)[0]
-    return ValidationReport(not bad, tuple(bad))
-
-
-def _build(n: int, edges: Sequence[Edge], leaf_labels: Mapping[int, str]):
-    """Violations (as :func:`validate` reports them), child and parent
-    lists, topological order and label-to-vertex map, in one pass.  Kahn's
-    algorithm with an ascending-id heap is both the acyclicity check and the
-    stored order."""
-    bad: list[Violation] = []
+    n, edges, leaf_labels = graph
     if n <= 0:
-        return [Violation("empty", (), "network has no vertices")], [], [], [], {}
+        return ValidationReport(False, (Violation("empty", (), "network has no vertices"),))
 
+    bad: list[Violation] = []
     kids: list[list[int]] = [[] for _ in range(n)]
     pars: list[list[int]] = [[] for _ in range(n)]
     for u, v in edges:
@@ -114,7 +96,7 @@ def _build(n: int, edges: Sequence[Edge], leaf_labels: Mapping[int, str]):
             kids[u].append(v)
             pars[v].append(u)
     if bad:
-        return bad, kids, pars, [], {}
+        return ValidationReport(False, tuple(bad))
 
     if len(set(edges)) != len(edges):
         seen: set[Edge] = set()
@@ -123,18 +105,9 @@ def _build(n: int, edges: Sequence[Edge], leaf_labels: Mapping[int, str]):
                 bad.append(Violation("parallel-edge", e, f"parallel edge ({e[0]}, {e[1]})"))
             seen.add(e)
 
-    indeg = [len(p) for p in pars]
-    roots = [v for v in range(n) if indeg[v] == 0]
-    heap = roots[:]  # ascending, so already a heap
-    order = []
-    while heap:
-        u = heapq.heappop(heap)
-        order.append(u)
-        for v in kids[u]:
-            indeg[v] -= 1
-            if indeg[v] == 0:
-                heapq.heappush(heap, v)
-    if len(order) != n:
+    indeg = [len(ws) for ws in pars]
+    roots = [v for v in range(n) if not indeg[v]]
+    if _kahn_count(kids, indeg, roots) != n:
         bad.append(Violation("cycle", (), "graph contains a directed cycle"))
 
     if len(roots) != 1:
@@ -142,12 +115,10 @@ def _build(n: int, edges: Sequence[Edge], leaf_labels: Mapping[int, str]):
 
     single = n == 1 and not edges
     for v in range(n):
-        kids[v].sort()  # the order construction keeps
-        pars[v].sort()
         sig = (len(pars[v]), len(kids[v]))
         if single and sig == (0, 0):
             continue
-        if sig not in ((0, 2), (1, 0), (1, 2), (2, 1)):
+        if sig not in _SIGNATURES:
             bad.append(Violation("degree", (v,), f"vertex {v} has degree signature in={sig[0]}, out={sig[1]}"))
 
     sinks = {v for v in range(n) if not kids[v]}
@@ -166,15 +137,77 @@ def _build(n: int, edges: Sequence[Edge], leaf_labels: Mapping[int, str]):
             bad.append(Violation("duplicate-label", (by_label[name], v), f"label {name!r} used by vertices {by_label[name]} and {v}"))
         by_label[name] = v
 
-    return bad, kids, pars, order, by_label
+    return ValidationReport(not bad, tuple(bad))
+
+
+def _kahn_count(kids: Sequence[Sequence[int]], indeg: list[int], roots: Iterable[int]) -> int:
+    """How many vertices Kahn's algorithm pops from ``roots``, the
+    vertices of in-degree 0: all of them exactly when the graph is acyclic.
+    Consumes ``indeg``."""
+    stack = list(roots)
+    popped = 0
+    while stack:
+        popped += 1
+        for w in kids[stack.pop()]:
+            indeg[w] -= 1
+            if not indeg[w]:
+                stack.append(w)
+    return popped
+
+
+def _accept(n: int, edges: Sequence[Edge], labels: Mapping[int, str]):
+    """Sorted child and parent lists, the root and the leaves when ``(n,
+    edges, labels)`` is a valid network, else None.  Accepts exactly what
+    :func:`validate` accepts, with whole-graph tests in place of its
+    per-vertex reports: with every signature allowed, a repeated child is
+    a parallel edge and a self-loop is a cycle."""
+    if n <= 0 or min(chain.from_iterable(edges), default=0) < 0:
+        return None
+    kids: list[list[int]] = [[] for _ in range(n)]
+    pars: list[list[int]] = [[] for _ in range(n)]
+    try:
+        for u, v in edges:
+            kids[u].append(v)
+            pars[v].append(u)
+    except IndexError:
+        return None
+    ins, outs = list(map(len, pars)), list(map(len, kids))
+    if not set(zip(ins, outs)) <= _SIGNATURES and not (n == 1 and not edges):
+        return None
+    if ins.count(0) != 1:
+        return None
+    for ws in kids:
+        if len(ws) == 2 and ws[0] >= ws[1]:
+            if ws[0] == ws[1]:
+                return None
+            ws.reverse()
+    for ws in pars:
+        if len(ws) == 2 and ws[0] > ws[1]:
+            ws.reverse()
+    root = ins.index(0)
+    if _kahn_count(kids, ins, (root,)) != n:
+        return None
+    sinks = [v for v in range(n) if not outs[v]]
+    names = list(labels.values())
+    try:
+        if not _LABELS_RE.fullmatch("\n".join(names)):
+            return None
+    except TypeError:  # a label that is not a string
+        return None
+    if len(set(names)) != len(names) or labels.keys() != set(sinks):
+        return None
+    return kids, pars, root, sinks
 
 
 class PhyloNetwork:
     """A validated rooted binary phylogenetic network.
 
     Construction validates; invalid input raises :class:`InvalidNetworkError`.
-    Instances are immutable: adjacency tuples and the topological order are
-    computed in the validating pass and the label map is exposed read-only.
+    A valid graph passes a short accept test; only a rejected one is
+    explained by the full pass of :func:`validate`, whose report the error
+    carries.  Instances are immutable: adjacency tuples are computed at
+    construction, the topological order on first use, and the label map is
+    exposed read-only.
     """
 
     __slots__ = (
@@ -187,19 +220,12 @@ class PhyloNetwork:
         edge_tuple = tuple((int(u), int(v)) for u, v in edges)
         labels = dict(leaf_labels)
         if num_vertices is None:
-            top = -1
-            for u, v in edge_tuple:
-                if u > top:
-                    top = u
-                if v > top:
-                    top = v
-            for v in labels:
-                if v > top:
-                    top = v
-            num_vertices = top + 1
-        bad, kids, pars, order, by_label = _build(num_vertices, edge_tuple, labels)
-        if bad:
-            raise InvalidNetworkError(ValidationReport(False, tuple(bad)))
+            num_vertices = max(max(chain.from_iterable(edge_tuple), default=-1),
+                               max(labels, default=-1)) + 1
+        accepted = _accept(num_vertices, edge_tuple, labels)
+        if accepted is None:
+            raise InvalidNetworkError(validate(Digraph(num_vertices, edge_tuple, labels)))
+        kids, pars, self.root, leaves = accepted
 
         self.num_vertices = num_vertices
         self.edges = edge_tuple
@@ -208,16 +234,11 @@ class PhyloNetwork:
         self.parents = tuple(map(tuple, pars))
         self.in_degree = tuple(map(len, pars))
         self.out_degree = tuple(map(len, kids))
-        self.root = order[0]  # the one in-degree-0 vertex is the first Kahn pops
-        self.leaves = tuple(v for v in range(num_vertices) if not kids[v])
+        self.leaves = tuple(leaves)
         self.reticulations = tuple(v for v in range(num_vertices) if len(pars[v]) == 2)
-        self._labels_sorted = tuple(sorted(by_label))
-        self._order = tuple(order)
-        self._by_label = by_label
-
-    @classmethod
-    def from_digraph(cls, graph: Digraph) -> "PhyloNetwork":
-        return cls(graph.edges, graph.leaf_labels, graph.num_vertices)
+        self._labels_sorted = tuple(sorted(labels.values()))
+        self._by_label = {name: v for v, name in labels.items()}
+        self._order: tuple[int, ...] | None = None
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -228,7 +249,20 @@ class PhyloNetwork:
         return self._by_label[label]
 
     def topological_order(self) -> tuple[int, ...]:
-        """Vertices in a topological order; ties broken by ascending id."""
+        """Vertices in a topological order; ties broken by ascending id.
+        Kahn's algorithm with an ascending-id heap, run on the first call."""
+        if self._order is None:
+            indeg = list(self.in_degree)
+            heap = [self.root]
+            order = []
+            while heap:
+                u = heapq.heappop(heap)
+                order.append(u)
+                for v in self.children[u]:
+                    indeg[v] -= 1
+                    if not indeg[v]:
+                        heapq.heappush(heap, v)
+            self._order = tuple(order)
         return self._order
 
     def __repr__(self) -> str:
@@ -236,66 +270,16 @@ class PhyloNetwork:
                 f"reticulations={len(self.reticulations)})")
 
 
-def classify(net: PhyloNetwork, v: int) -> VertexKind:
-    """Kind of vertex ``v`` by its degree signature.
-
-    The singleton network's vertex is classified as a leaf (the labeled set
-    is always exactly the out-degree-0 vertices); in every multi-vertex
-    network the root has out-degree 2 so the rules never overlap.
-    """
-    if not 0 <= v < net.num_vertices:
-        raise ValueError(f"vertex {v} out of range")
-    if net.out_degree[v] == 0:
-        return VertexKind.LEAF
-    if net.in_degree[v] == 0:
-        return VertexKind.ROOT
-    if net.in_degree[v] == 2:
-        return VertexKind.RETICULATION
-    return VertexKind.TREE
-
-
-def edge_kind(net: PhyloNetwork, edge: Edge) -> EdgeKind:
-    """Reticulation edge iff its head is a reticulation."""
-    u, v = edge
-    if (u, v) not in set(net.edges):
-        raise ValueError(f"({u}, {v}) is not an edge of the network")
-    if net.in_degree[v] == 2:
-        return EdgeKind.RETICULATION_EDGE
-    return EdgeKind.TREE_EDGE
-
-
-def tree_vertices_with_reticulation_child(net: PhyloNetwork) -> tuple[int, ...]:
-    """Tree vertices (including the root) that parent at least one reticulation."""
-    retic = set(net.reticulations)
-    out = []
-    for v in range(net.num_vertices):
-        if net.in_degree[v] <= 1 and net.out_degree[v] == 2:
-            if any(c in retic for c in net.children[v]):
-                out.append(v)
-    return tuple(out)
-
-
-def subdivide_edge(net: PhyloNetwork, edge: Edge) -> tuple[Digraph, int]:
-    """Replace edge (u, v) by u -> s -> v with a fresh vertex s.
-
-    Returns the raw graph and the new vertex id.  The result is not a valid
-    network (s has degree (1,1)); it exists to be consumed by
-    :func:`attach_leaf`.
-    """
+def attach_leaf(net: PhyloNetwork, edge: Edge, label: str) -> PhyloNetwork:
+    """Replace ``edge`` (u, v) by u -> s -> v in place, with a fresh vertex
+    s = n, and hang a new leaf n + 1 with ``label`` off s."""
     u, v = edge
     try:
         i = net.edges.index((u, v))
     except ValueError:
         raise ValueError(f"({u}, {v}) is not an edge of the network") from None
     s = net.num_vertices
-    new_edges = net.edges[:i] + ((u, s), (s, v)) + net.edges[i + 1:]
-    return Digraph(s + 1, new_edges, dict(net.leaf_labels)), s
-
-
-def attach_leaf(net: PhyloNetwork, edge: Edge, label: str) -> PhyloNetwork:
-    """Subdivide ``edge`` and hang a new leaf with ``label`` off the new vertex."""
-    raw, s = subdivide_edge(net, edge)
-    leaf = raw.num_vertices
-    labels = dict(raw.leaf_labels)
-    labels[leaf] = label
-    return PhyloNetwork(raw.edges + ((s, leaf),), labels, leaf + 1)
+    labels = dict(net.leaf_labels)
+    labels[s + 1] = label
+    edges = net.edges[:i] + ((u, s), (s, v)) + net.edges[i + 1:] + ((s, s + 1),)
+    return PhyloNetwork(edges, labels, s + 2)

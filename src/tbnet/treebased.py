@@ -21,15 +21,13 @@ completion writes its edge list in one pass and builds once.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
 from itertools import count
-from typing import Union
+from typing import NamedTuple, Union
 
 from .network import Edge, PhyloNetwork
 
 
-@dataclass(frozen=True)
-class PathPartition:
+class PathPartition(NamedTuple):
     """Vertex-disjoint directed paths covering every vertex exactly once."""
 
     paths: tuple[tuple[int, ...], ...]
@@ -39,8 +37,7 @@ class PathPartition:
         return len(self.paths)
 
 
-@dataclass(frozen=True)
-class SpanningTree:
+class SpanningTree(NamedTuple):
     """A rooted spanning tree, as an edge subset of the network."""
 
     edges: tuple[Edge, ...]
@@ -52,8 +49,7 @@ class SpanningTree:
         return tuple(v for v in self.leaves if v not in labeled)
 
 
-@dataclass(frozen=True)
-class DeviationReport:
+class DeviationReport(NamedTuple):
     """The deviation indices.  Field names follow the CLI JSON contract.
 
     l / p / t are the three measures described in the module docstring
@@ -70,18 +66,16 @@ class DeviationReport:
     d: int
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
-@dataclass(frozen=True)
-class BaseTreeCertificate:
+class BaseTreeCertificate(NamedTuple):
     """Positive certificate: a spanning tree all of whose leaves are labeled."""
 
     tree: SpanningTree
 
 
-@dataclass(frozen=True)
-class FailureWitness:
+class FailureWitness(NamedTuple):
     """Negative certificate read off a W-fence t0, h1, t1, ..., hk, tk.
 
     ``rr_path`` is the fence without its end tails.  ``u1`` (the tails) is
@@ -239,8 +233,7 @@ def check_path_partition_characterisation(net: PhyloNetwork) -> bool:
     return partition.size == len(labeled) and all(p[-1] in labeled for p in partition.paths)
 
 
-@dataclass(frozen=True)
-class CompletionResult:
+class CompletionResult(NamedTuple):
     """Outcome of making a network tree-based by attaching new leaves.
 
     ``attached_edges`` are edges of the *input* network that received a new

@@ -1,6 +1,7 @@
 """End-to-end command tests, run in process through ``main(argv)``."""
 
 import functools
+import gc
 import io
 import json
 import sys
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from tbnet import PhyloNetwork, is_temporal, is_tree_based, parse_enewick, parse_edgelist
+from tbnet import treebased
 from tbnet.cli import _json_text, main
 from tbnet.treebased import zigzag_trails
 
@@ -94,6 +96,32 @@ def test_internal_error_is_exit_3_not_a_no():
     assert b"internal error:" in proc.stderr
 
 
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("outcome", [0, 2, 3])
+def test_main_leaves_the_collector_as_it_found_it(capsys, monkeypatch, enabled, outcome):
+    # the collector is off while the query runs, and the caller's setting
+    # comes back on every exit
+    during = []
+
+    def spy(net):
+        during.append(gc.isenabled())
+        if outcome == 3:
+            raise RuntimeError("boom")
+        return is_tree_based(net)
+
+    monkeypatch.setattr(treebased, "is_tree_based", spy)
+    path = fixture_path("diamond.edges") if outcome != 2 else "/no/such/file.nwk"
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        code, _, _ = run(capsys, "check", path)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert code == outcome
+    assert during == ([] if outcome == 2 else [False])
+
+
 QUERIES = [("check",), ("indices",), ("paths",), ("spanning-tree",), ("temporal",),
            ("complete",), ("antichain", "--max"), ("antichain", "--set", "0"),
            ("antichain", "--check-property")]
@@ -162,6 +190,7 @@ json_values = st.recursive(
 @settings(max_examples=300, deadline=None)
 @given(json_values)
 @example({"f": [float("inf"), float("-inf"), float("nan"), -0.0, 1e300], "b": [True, 1]})
+@example({"edges": [[0, 1], [0, 2], [2, 3]], "paths": [[4, 1, 7], [5]], "mixed": [[1, 2], []]})
 def test_json_text_matches_json_dumps(value):
     assert _json_text(value) == json.dumps(value, indent=2, sort_keys=True)
 
@@ -363,6 +392,20 @@ def test_format_inference_failure(capsys, tmp_path):
 
     code, _, _ = run(capsys, "check", str(anon), "--format", "enewick")
     assert code == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ("gen", "--leaves", "3", "--retics", "0"),
+    ("complete", fixture_path("deviation_one.edges")),
+], ids=lambda argv: argv[0])
+def test_out_without_a_known_extension_names_the_extensions(capsys, tmp_path, argv):
+    # neither command has an output --format to point to
+    target = tmp_path / "x.txt"
+    code, out, err = run(capsys, *argv, "--out", str(target))
+    assert (code, out) == (2, "")
+    assert err == (f"error: cannot infer format from {str(target)!r}; give it one of the "
+                   "extensions .nwk .enwk .enewick .newick .edges .edgelist\n")
+    assert not target.exists()
 
 
 def test_parse_error_exit(capsys, tmp_path):

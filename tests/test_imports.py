@@ -17,11 +17,13 @@ LOADED = (
     "sys.exit(code)\n"
 )
 # Modules a query must not load: the tree-based queries, antichain --max,
-# and gen.  No query loads matching, the reference route.
+# and gen.  No query loads matching, the reference route, or dataclasses,
+# which also loads inspect, ast, dis and tokenize.
 NOT_TREE_BASED = {"tbnet.antichains", "tbnet.generate", "tbnet.dot", "tbnet.matching",
-                  "fractions"}
+                  "fractions", "dataclasses"}
 NOT_ANTICHAIN = NOT_TREE_BASED - {"tbnet.antichains"}
-NOT_GEN = {"tbnet.antichains", "tbnet.dot", "tbnet.treebased", "tbnet.matching", "fractions"}
+NOT_GEN = {"tbnet.antichains", "tbnet.dot", "tbnet.treebased", "tbnet.matching", "fractions",
+           "dataclasses"}
 ABSENT = {"antichain": NOT_ANTICHAIN, "gen": NOT_GEN}
 
 

@@ -1,4 +1,5 @@
 import heapq
+import random
 
 import pytest
 
@@ -7,13 +8,8 @@ from tbnet import (
     GenSpec,
     InvalidNetworkError,
     PhyloNetwork,
-    VertexKind,
     attach_leaf,
-    classify,
-    edge_kind,
-    EdgeKind,
     generate,
-    subdivide_edge,
     validate,
 )
 
@@ -31,7 +27,6 @@ def test_singleton_valid():
     net = PhyloNetwork((), {0: "only"}, 1)
     assert net.root == 0
     assert net.leaves == (0,)
-    assert classify(net, 0) is VertexKind.LEAF
 
 
 def test_singleton_unlabeled_rejected():
@@ -61,36 +56,19 @@ def test_invalid_network_error_carries_report():
     assert err.value.report.violations
 
 
-def test_classify_and_edge_kind(diamond):
-    kinds = {classify(diamond, v) for v in range(diamond.num_vertices)}
-    assert kinds == {VertexKind.ROOT, VertexKind.LEAF,
-                     VertexKind.TREE, VertexKind.RETICULATION}
-    retic = diamond.reticulations[0]
-    for parent in diamond.parents[retic]:
-        assert edge_kind(diamond, (parent, retic)) is EdgeKind.RETICULATION_EDGE
-    root_edges = [(diamond.root, c) for c in diamond.children[diamond.root]]
-    assert all(edge_kind(diamond, e) is EdgeKind.TREE_EDGE for e in root_edges)
-
-
-def test_classify_unknown_vertex(diamond):
-    with pytest.raises(ValueError):
-        classify(diamond, diamond.num_vertices)
-
-
 def test_subdivide_edge_shape():
     net = PhyloNetwork(*TWO_LEAF)
-    raw, s = subdivide_edge(net, (0, 1))
-    assert raw.num_vertices == net.num_vertices + 1
-    assert len(raw.edges) == len(net.edges) + 1
-    ins = sum(1 for _, v in raw.edges if v == s)
-    outs = sum(1 for u, _ in raw.edges if u == s)
-    assert (ins, outs) == (1, 1)
+    out = attach_leaf(net, (0, 1), "c")
+    s = net.num_vertices
+    assert out.edges == ((0, s), (s, 1), (0, 2), (s, s + 1))
+    assert (out.parents[s], out.children[s]) == ((0,), (1, s + 1))
+    assert out.leaf_labels[s + 1] == "c"
 
 
 def test_subdivide_unknown_edge():
     net = PhyloNetwork(*TWO_LEAF)
-    with pytest.raises(ValueError):
-        subdivide_edge(net, (1, 2))
+    with pytest.raises(ValueError, match="not an edge"):
+        attach_leaf(net, (1, 2), "c")
 
 
 def test_attach_leaf_counts():
@@ -163,3 +141,70 @@ def test_vertex_by_label(killer):
         assert killer.vertex_by_label(name) == v
     with pytest.raises(KeyError):
         killer.vertex_by_label("no-such-leaf")
+
+
+def _configuration_graph(rng):
+    """A random graph whose degree signatures are all allowed: one root, k
+    tree vertices, r reticulations and k - r + 2 sinks, their arc ends
+    paired at random, so parallel arcs, self-loops and cycles are common."""
+    k = rng.randrange(6)
+    r = rng.randrange(k + 2)
+    sigs = [(0, 2)] + [(1, 2)] * k + [(2, 1)] * r + [(1, 0)] * (k - r + 2)
+    rng.shuffle(sigs)
+    tails = [v for v, (_, out) in enumerate(sigs) for _ in range(out)]
+    heads = [v for v, (into, _) in enumerate(sigs) for _ in range(into)]
+    rng.shuffle(heads)
+    sinks = [v for v, (_, out) in enumerate(sigs) if not out]
+    return len(sigs), list(zip(tails, heads)), {v: f"x{v}" for v in sinks}
+
+
+def _mutants(net, rng):
+    """``net`` and copies with one arc replaced, duplicated, dropped or
+    reversed, two arcs' heads swapped, vertex n - 1 written as -1, or one
+    label dropped, moved to the leaf's parent, made a number or duplicated."""
+    n, edges, labels = net.num_vertices, list(net.edges), dict(net.leaf_labels)
+    yield n, edges, labels
+    if not edges:
+        return
+    i, j = rng.randrange(len(edges)), rng.randrange(len(edges))
+    (a, b), (c, d) = edges[i], edges[j]
+    yield n, edges[:i] + [(a, rng.randrange(n))] + edges[i + 1:], labels
+    yield n, edges + [edges[i]], labels
+    yield n, edges[:i] + edges[i + 1:], labels
+    yield n, edges[:i] + [(b, a)] + edges[i + 1:], labels
+    swapped = edges[:]
+    swapped[i], swapped[j] = (a, d), (c, b)
+    yield n, swapped, labels
+    last = n - 1
+    yield n, [(-1 if u == last else u, -1 if v == last else v) for u, v in edges], labels
+    leaves = sorted(labels)
+    moved = {v: name for v, name in labels.items() if v != leaves[0]}
+    yield n, edges, moved
+    yield n, edges, {**moved, net.parents[leaves[0]][0]: labels[leaves[0]]}
+    yield n, edges, {**moved, leaves[0]: 7}
+    if len(leaves) > 1:
+        yield n, edges, {**labels, leaves[0]: labels[leaves[1]]}
+
+
+def test_construction_accepts_exactly_what_validate_accepts():
+    rng = random.Random(7)
+    graphs = [_configuration_graph(rng) for _ in range(1500)]
+    for _ in range(500):  # arbitrary small digraphs, ids out of range included
+        n = rng.randrange(-1, 6)
+        edges = [(rng.randrange(-1, n + 1), rng.randrange(-1, n + 1))
+                 for _ in range(rng.randrange(8))]
+        graphs.append((n, edges, {v: rng.choice(("a", "b", "c d", 7)) for v in range(n)
+                                  if rng.random() < 0.6}))
+    for net in corpus(300, max_leaves=6, max_retics=5, seed_base=33_000):
+        graphs += _mutants(net, rng)
+    outcomes = set()
+    for n, edges, labels in graphs:
+        report = validate(Digraph(n, tuple(edges), labels))
+        try:
+            PhyloNetwork(edges, labels, n)
+        except InvalidNetworkError as err:
+            assert err.report == report and not report.ok, (n, edges, labels)
+        else:
+            assert report.ok, (n, edges, labels)
+        outcomes.add(report.ok)
+    assert outcomes == {True, False}
