@@ -100,8 +100,11 @@ def _write_text(path: str | None, text: str) -> None:
         if not text.endswith("\n"):
             sys.stdout.write("\n")
     else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise CliError(str(exc)) from exc
 
 
 def _json_text(obj, newline: str = "\n") -> str:
@@ -402,6 +405,8 @@ def cmd_bench(args) -> int:
     from .generate import GenSpec
     from .treebased import deviation_indices
 
+    if args.repeat < 1:
+        raise CliError("--repeat must be at least 1")
     started = time.perf_counter()
     t0 = time.perf_counter()
     net = _generate(GenSpec(args.leaves, args.retics, args.seed))

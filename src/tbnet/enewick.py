@@ -16,8 +16,11 @@ reads them in one loop that keeps its state in locals.  Errors carry the
 line and column of the offending token; a character that starts no token
 is reported first, wherever it stands, at its own position.
 
-Parsing and serialising both use explicit stacks so deeply nested inputs
-do not hit the interpreter recursion limit.
+The writer makes two linear passes over the child lists and needs no
+topological order: a post-order that finds the smallest leaf label below
+each vertex, then one that writes the text.  Parsing and serialising both
+use explicit stacks so deeply nested inputs do not hit the interpreter
+recursion limit.
 """
 
 from __future__ import annotations
@@ -163,58 +166,67 @@ def parse_enewick(text: str) -> PhyloNetwork:
     return PhyloNetwork(edges, labels, n)
 
 
-def _min_leaf_labels(net: PhyloNetwork) -> list[str]:
-    out = [""] * net.num_vertices
-    for v in reversed(net.topological_order()):
-        if net.out_degree[v] == 0:
-            out[v] = net.leaf_labels[v]
-        else:
-            out[v] = min(out[c] for c in net.children[v])
-    return out
-
-
 def serialize_enewick(net: PhyloNetwork) -> str:
     """Deterministic form: children ordered by (smallest leaf label beneath,
     vertex id), hybrid numbers assigned in traversal order.  Output is a
     fixed function of the network as built; round-trips through the parser
     preserve the network up to isomorphism, not the exact string, because
-    parsing renumbers vertices."""
+    parsing renumbers vertices.
+
+    Two linear stack passes over the child lists, with no topological
+    order.  The first is a post-order that stores the smallest leaf label
+    beneath each vertex.  The second writes from one stack that holds
+    vertices to enter and the text that closes or separates them; a tree
+    vertex's child ids are ascending, so one label comparison orders them
+    by (smallest label, id)."""
+    children = net.children
+    minlab: list = [None] * net.num_vertices
+    for v, name in net.leaf_labels.items():
+        minlab[v] = name
     if net.num_vertices == 1:
-        return f"{net.leaf_labels[0]};"
-    minlab = _min_leaf_labels(net)
-    retic = set(net.reticulations)
-    number: dict[int, int] = {}
-    out: list[str] = []
+        return f"{minlab[0]};"
 
-    def enter(v: int):
-        """Emit v's opening text; a frame if its children still need writing."""
-        if net.out_degree[v] == 0:
-            out.append(net.leaf_labels[v])
-            return None
-        if v in retic:
-            if v in number:
-                out.append(f"#H{number[v]}")
-                return None
-            number[v] = len(number) + 1
-        out.append("(")
-        kids = sorted(net.children[v], key=lambda c: (minlab[c], c))
-        return [v, kids, 0]
-
-    stack = [enter(net.root)]
+    # Pass 1, a post-order: ~v closes v once its children are done.  A
+    # vertex popped with its label set is done, never entered and unfinished:
+    # only its descendants sit above its ~v, and none of them is its parent.
+    stack = [net.root]
+    pop, push, extend = stack.pop, stack.append, stack.extend
     while stack:
-        frame = stack[-1]
-        v, kids, i = frame
-        if i == len(kids):
-            stack.pop()
-            out.append(")")
-            if v in retic:
-                out.append(f"#H{number[v]}")
+        v = pop()
+        if v < 0:
+            kids = children[~v]  # one child or two
+            a, b = minlab[kids[0]], minlab[kids[-1]]
+            minlab[~v] = b if b < a else a
+        elif minlab[v] is None:
+            push(~v)
+            extend(children[v])
+
+    # Pass 2.  Strings on the stack are written as they are; a reticulation
+    # gets its tag when first entered and is a bare reference after that.
+    tags: dict[int, str] = {}
+    out: list[str] = []
+    write = out.append
+    push(net.root)
+    while stack:
+        v = pop()
+        if v.__class__ is str:
+            write(v)
             continue
-        frame[2] += 1
-        if i:
-            out.append(",")
-        child_frame = enter(kids[i])
-        if child_frame is not None:
-            stack.append(child_frame)
-    out.append(";")
+        kids = children[v]
+        if not kids:
+            write(minlab[v])
+        elif len(kids) == 2:
+            a, b = kids
+            write("(")
+            if minlab[b] < minlab[a]:
+                extend((")", a, ",", b))
+            else:
+                extend((")", b, ",", a))
+        elif v in tags:
+            write(tags[v])
+        else:
+            tag = tags[v] = f"#H{len(tags) + 1}"
+            write("(")
+            extend((")" + tag, kids[0]))
+    write(";")
     return "".join(out)

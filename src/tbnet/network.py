@@ -17,7 +17,6 @@ The records are ``NamedTuple``s, so they compare equal to plain tuples.
 
 from __future__ import annotations
 
-import heapq
 import re
 from itertools import chain
 from types import MappingProxyType
@@ -217,7 +216,12 @@ class PhyloNetwork:
     )
 
     def __init__(self, edges: Iterable[Edge], leaf_labels: Mapping[int, str], num_vertices: int | None = None):
-        edge_tuple = tuple((int(u), int(v)) for u, v in edges)
+        edge_tuple = tuple(edges)
+        # The readers and the generator pass pairs of ints, which need no
+        # copy; three C-level type tests confirm it.
+        if not (set(map(type, edge_tuple)) <= {tuple} and set(map(len, edge_tuple)) <= {2}
+                and set(map(type, chain.from_iterable(edge_tuple))) <= {int}):
+            edge_tuple = tuple((int(u), int(v)) for u, v in edge_tuple)
         labels = dict(leaf_labels)
         if num_vertices is None:
             num_vertices = max(max(chain.from_iterable(edge_tuple), default=-1),
@@ -252,6 +256,8 @@ class PhyloNetwork:
         """Vertices in a topological order; ties broken by ascending id.
         Kahn's algorithm with an ascending-id heap, run on the first call."""
         if self._order is None:
+            import heapq  # no query's default route asks for this order
+
             indeg = list(self.in_degree)
             heap = [self.root]
             order = []

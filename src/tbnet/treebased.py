@@ -14,8 +14,9 @@ measures quantify how far a network is from that property:
 All three equal the number of W-fences of the path graph, which one
 zig-zag trail walk (:func:`zigzag_trails`) counts.  The same walk gives the
 witnesses: its maximum matching chains a minimum path partition, from which
-follow a spanning tree realizing ``l`` and a completion realizing ``t``, and
-its first W-fence is the failure witness.  Each query walks once; the
+follows a spanning tree realizing ``l``; the unmatched vertices with
+out-edges, that tree's unlabeled leaves, give a completion realizing ``t``;
+and its first W-fence is the failure witness.  Each query walks once; the
 completion writes its edge list in one pass and builds once.
 """
 
@@ -249,16 +250,21 @@ class CompletionResult(NamedTuple):
 def tree_based_completion(net: PhyloNetwork) -> CompletionResult:
     """Attach the minimum number of leaves needed to make ``net`` tree-based.
 
-    Every unlabeled leaf of the constructed spanning tree gets a new pendant
-    leaf on its smallest-headed out-edge.  That adds exactly ``t`` leaves,
-    labeled ``attached_1``, ``attached_2``, ... in ascending order of the
+    Every unlabeled leaf of the spanning tree :func:`rooted_spanning_tree`
+    builds gets a new pendant leaf on its smallest-headed out-edge.  Those
+    leaves are read straight off the trail walk: they are the vertices
+    with out-edges and no successor, since no path end is the parent a
+    path start is spliced below.  That adds exactly ``t`` leaves, labeled
+    ``attached_1``, ``attached_2``, ... in ascending order of the
     subdivided edge's tail, skipping every label the input already uses.
     The i-th edge (u, v) becomes (u, s), (s, v) in place and (s, s + 1) is
     appended, with s = n + 2i: the ids and edge order of :func:`attach_leaf`
     applied edge by edge, built once.  With nothing to attach, ``net`` is
     returned.
     """
-    stuck = sorted(rooted_spanning_tree(net).unlabeled_leaves(net))
+    succ = zigzag_trails(net)[0]
+    out_degree = net.out_degree
+    stuck = [v for v in range(net.num_vertices) if succ[v] == -1 and out_degree[v]]
     if not stuck:
         return CompletionResult(network=net, attached_edges=(), labels=())
     used = set(net.leaf_labels.values())

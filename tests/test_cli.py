@@ -131,7 +131,7 @@ QUERIES = [("check",), ("indices",), ("paths",), ("spanning-tree",), ("temporal"
 @pytest.mark.parametrize("name", ["diamond", "deviation_one", "killer", "temporal_nontb"])
 @pytest.mark.parametrize("ext", [".edges", ".nwk"])
 def test_each_query_builds_and_derives_once(capsys, monkeypatch, query, name, ext):
-    counts = {"build": 0, "walk": 0, "is_temporal": 0}
+    counts = {"build": 0, "walk": 0, "is_temporal": 0, "topological_order": 0}
 
     def counting(key, fn):
         @functools.wraps(fn)
@@ -141,6 +141,8 @@ def test_each_query_builds_and_derives_once(capsys, monkeypatch, query, name, ex
         return counted
 
     monkeypatch.setattr(PhyloNetwork, "__init__", counting("build", PhyloNetwork.__init__))
+    monkeypatch.setattr(PhyloNetwork, "topological_order",
+                        counting("topological_order", PhyloNetwork.topological_order))
     modules = [m for n, m in sys.modules.items() if n == "tbnet" or n.startswith("tbnet.")]
     for key, fn in (("walk", zigzag_trails), ("is_temporal", is_temporal)):
         for mod in modules:
@@ -153,6 +155,9 @@ def test_each_query_builds_and_derives_once(capsys, monkeypatch, query, name, ex
     assert counts["build"] == 1 + (complete and env["payload"]["attachments"] > 0)
     assert counts["walk"] <= 1 + complete
     assert counts["is_temporal"] <= 1
+    # only the exhaustive antichain route asks for the heap order
+    if query != ("antichain", "--check-property"):
+        assert counts["topological_order"] == 0
 
 
 def _as_json_dumps(out: str) -> str:
@@ -374,6 +379,26 @@ def test_bench_payload(capsys):
     assert len(payload["runs_ms"]) == 2
     assert payload["best_ms"] <= payload["mean_ms"] + 1e-9
     assert env["input_sha256"] is None
+
+
+@pytest.mark.parametrize("repeat", ["0", "-3"])
+def test_bench_needs_at_least_one_repeat(capsys, repeat):
+    code, out, err = run(capsys, "bench", "--leaves", "4", "--retics", "1",
+                         "--repeat", repeat)
+    assert (code, out, err) == (2, "", "error: --repeat must be at least 1\n")
+
+
+@pytest.mark.parametrize("argv, option, name", [
+    (("check", fixture_path("diamond.nwk")), "--dot", "x.dot"),
+    (("complete", fixture_path("deviation_one.edges")), "--out", "x.nwk"),
+    (("gen", "--leaves", "4", "--retics", "1"), "--out", "x.nwk"),
+], ids=lambda v: v[0] if isinstance(v, tuple) else v)
+def test_unwritable_output_path_is_an_input_error(capsys, tmp_path, argv, option, name):
+    target = tmp_path / "no-such-dir" / name
+    code, out, err = run(capsys, *argv, option, str(target))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and str(target) in err
+    assert "Traceback" not in err
 
 
 def test_stdin_enewick(capsys, monkeypatch):

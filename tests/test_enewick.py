@@ -1,8 +1,10 @@
 """Parser and serializer behavior for the hybrid-tagged Newick dialect."""
 
+import random
+
 import pytest
 
-from tbnet import ParseError, parse_enewick, serialize_enewick
+from tbnet import ParseError, PhyloNetwork, parse_enewick, serialize_enewick
 from tbnet.oracles import isomorphic
 
 from conftest import corpus, fixture_text
@@ -46,6 +48,71 @@ def test_tree_serialization_is_canonical():
     for net in corpus(40, seed_base=16_000, max_retics=0):
         s1 = serialize_enewick(net)
         assert serialize_enewick(parse_enewick(s1)) == s1
+
+
+def _reference_serialize(net: PhyloNetwork) -> str:
+    """The writer as first built: smallest labels over the ascending-id
+    heap order, then a frame per vertex with its children sorted by
+    (smallest label, id)."""
+    if net.num_vertices == 1:
+        return f"{net.leaf_labels[0]};"
+    minlab = [""] * net.num_vertices
+    for v in reversed(net.topological_order()):
+        if net.out_degree[v] == 0:
+            minlab[v] = net.leaf_labels[v]
+        else:
+            minlab[v] = min(minlab[c] for c in net.children[v])
+    retic = set(net.reticulations)
+    number: dict[int, int] = {}
+    out: list[str] = []
+
+    def enter(v):
+        if net.out_degree[v] == 0:
+            out.append(net.leaf_labels[v])
+            return None
+        if v in retic:
+            if v in number:
+                out.append(f"#H{number[v]}")
+                return None
+            number[v] = len(number) + 1
+        out.append("(")
+        return [v, sorted(net.children[v], key=lambda c: (minlab[c], c)), 0]
+
+    stack = [enter(net.root)]
+    while stack:
+        frame = stack[-1]
+        v, kids, i = frame
+        if i == len(kids):
+            stack.pop()
+            out.append(")")
+            if v in retic:
+                out.append(f"#H{number[v]}")
+            continue
+        frame[2] += 1
+        if i:
+            out.append(",")
+        child = enter(kids[i])
+        if child is not None:
+            stack.append(child)
+    out.append(";")
+    return "".join(out)
+
+
+def _renumbered(net: PhyloNetwork, rng: random.Random) -> PhyloNetwork:
+    perm = list(range(net.num_vertices))
+    rng.shuffle(perm)
+    return PhyloNetwork([(perm[u], perm[v]) for u, v in net.edges],
+                        {perm[v]: name for v, name in net.leaf_labels.items()},
+                        net.num_vertices)
+
+
+def test_writer_matches_the_heap_order_reference():
+    # Renumbered copies break ties on the smallest label by other ids.
+    rng = random.Random(17)
+    nets = corpus(3000, max_leaves=8, max_retics=6, seed_base=40_000)
+    nets += [_renumbered(net, rng) for net in nets[:1500]]
+    for net in nets:
+        assert serialize_enewick(net) == _reference_serialize(net), net.edges
 
 
 def test_singleton():

@@ -50,6 +50,25 @@ def test_validate_rejects(edges, labels, n, rule):
     assert any(rule in v.rule for v in report.violations), report.summary()
 
 
+@pytest.mark.parametrize("edges", [
+    [[0, 1], [0, 2]],                      # lists
+    (("0", "1"), (0, "2")),                # strings of digits
+    ((0, True), (0, 2.0)),                 # an int subclass and a float
+    ((u, v) for u, v in ((0, 1), (0, 2))),  # a one-shot iterator
+], ids=["lists", "strings", "bool-float", "iterator"])
+def test_ids_that_are_not_int_pairs_go_through_int(edges):
+    # pairs of ints are kept as given; anything else is copied through int()
+    net = PhyloNetwork(edges, {1: "a", 2: "b"})
+    assert net.edges == ((0, 1), (0, 2))
+    assert {type(x) for e in net.edges for x in e} == {int}
+    assert {type(e) for e in net.edges} == {tuple}
+
+
+def test_an_edge_that_is_not_a_pair_is_refused():
+    with pytest.raises(ValueError, match="too many values to unpack"):
+        PhyloNetwork(((0, 1, 2), (0, 2)), {1: "a", 2: "b"}, 3)
+
+
 def test_invalid_network_error_carries_report():
     with pytest.raises(InvalidNetworkError) as err:
         PhyloNetwork(((0, 1), (0, 1)), {1: "a"}, 2)
