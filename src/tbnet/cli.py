@@ -7,9 +7,16 @@ self-check), reported with its traceback.  ``--json`` wraps every payload in
 a fixed envelope whose schema ships with the package as
 ``report.schema.json``.
 
-Each subcommand imports the modules it runs when it runs, so a query loads
-only its own layers: ``check``, ``indices``, ``paths``, ``spanning-tree``
-and ``complete`` load ``network``, the reader and ``treebased``;
+One pipeline in :func:`main` serves every subcommand.  It reads and builds
+the input network (``gen`` and ``bench`` generate theirs), times the query,
+calls the subcommand's answer function and prints the ``--json`` envelope
+or the human lines.  An answer function ``cmd_*(args, net)`` holds only its
+library call and returns ``(payload, human_lines, exit_code)``; every
+``--dot`` is written by :func:`_dot`.
+
+Each answer function imports the modules it runs, so a query loads only
+its own layers: ``check``, ``indices``, ``paths``, ``spanning-tree`` and
+``complete`` load ``network``, the reader and ``treebased``;
 ``antichains``, ``generate`` and ``dot`` load only where they are used.
 No subcommand loads ``matching``, the reference route, or ``dataclasses``.
 :func:`main` turns the cyclic garbage collector off while a query runs,
@@ -35,6 +42,9 @@ EXT_FORMATS = {
     ".nwk": "enewick", ".enwk": "enewick", ".enewick": "enewick", ".newick": "enewick",
     ".edges": "edgelist", ".edgelist": "edgelist",
 }
+# What an answer function returns: the --json payload, the human lines and
+# the exit code.
+Answer = tuple[dict, list[str], int]
 
 
 class CliError(Exception):
@@ -94,8 +104,8 @@ def _write_network(path: str, net: PhyloNetwork, enewick_text: str) -> None:
         _write_text(path, serialize_edgelist(net))
 
 
-def _write_text(path: str | None, text: str) -> None:
-    if path is None or path == "-":
+def _write_text(path: str, text: str) -> None:
+    if path == "-":
         sys.stdout.write(text)
         if not text.endswith("\n"):
             sys.stdout.write("\n")
@@ -154,93 +164,57 @@ def _json_text(obj, newline: str = "\n") -> str:
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
-def _emit(args, command: str, payload: dict, digest: str | None,
-          started: float, human: list[str]) -> None:
-    if getattr(args, "json", False):
-        envelope = {
-            "tool": "tbnet",
-            "version": __version__,
-            "command": command,
-            "input_sha256": digest,
-            "elapsed_ms": round((time.perf_counter() - started) * 1000.0, 3),
-            "payload": payload,
-        }
-        print(_json_text(envelope))
-    else:
-        for line in human:
-            print(line)
+def _dot(args, net: PhyloNetwork, **overlay) -> None:
+    """Write ``net`` with ``overlay`` (see :func:`tbnet.dot.export_dot`) to
+    ``--dot``, when it is given."""
+    if args.dot is not None:
+        from .dot import export_dot
+
+        _write_text(args.dot, export_dot(net, **overlay))
 
 
-def cmd_check(args) -> int:
+def cmd_check(args, net: PhyloNetwork) -> Answer:
     from .treebased import is_tree_based
 
-    started = time.perf_counter()
-    net, digest = _load(args)
     based, cert = is_tree_based(net)
     if based:
-        certificate = {"kind": "base_tree",
-                       "edges": [list(e) for e in cert.tree.edges]}
-        human = ["tree-based: yes",
-                 f"base tree edges: {len(cert.tree.edges)}"]
+        certificate = {"kind": "base_tree", "edges": [list(e) for e in cert.tree.edges]}
+        human = ["tree-based: yes", f"base tree edges: {len(cert.tree.edges)}"]
     else:
-        certificate = {"kind": "rr_path",
-                       "rr_path": list(cert.rr_path),
-                       "u1": list(cert.u1),
-                       "u2": list(cert.u2)}
+        certificate = {"kind": "rr_path", "rr_path": list(cert.rr_path),
+                       "u1": list(cert.u1), "u2": list(cert.u2)}
         human = ["tree-based: no",
                  f"blocking reticulation path: {list(cert.rr_path)}",
                  f"U1: {list(cert.u1)}  U2: {list(cert.u2)}"]
-    payload = {
-        "tree_based": based,
-        "num_vertices": net.num_vertices,
-        "num_leaves": len(net.leaves),
-        "num_reticulations": len(net.reticulations),
-        "certificate": certificate,
-    }
-    if args.dot:
-        from .dot import export_dot
-
-        tree = cert.tree if based else None
-        _write_text(args.dot, export_dot(net, tree=tree))
-    _emit(args, "check", payload, digest, started, human)
-    return 0 if based else 1
+    payload = {"tree_based": based, "num_vertices": net.num_vertices,
+               "num_leaves": len(net.leaves), "num_reticulations": len(net.reticulations),
+               "certificate": certificate}
+    _dot(args, net, tree=cert.tree if based else None)
+    return payload, human, 0 if based else 1
 
 
-def cmd_indices(args) -> int:
+def cmd_indices(args, net: PhyloNetwork) -> Answer:
     from .treebased import deviation_indices
 
-    started = time.perf_counter()
-    net, digest = _load(args)
-    report = deviation_indices(net)
-    payload = report.as_dict()
-    human = [f"{k} = {v}" for k, v in payload.items()]
-    _emit(args, "indices", payload, digest, started, human)
-    return 0
+    payload = deviation_indices(net).as_dict()
+    return payload, [f"{k} = {v}" for k, v in payload.items()], 0
 
 
-def cmd_paths(args) -> int:
+def cmd_paths(args, net: PhyloNetwork) -> Answer:
     from .treebased import vertex_disjoint_paths
 
-    started = time.perf_counter()
-    net, digest = _load(args)
     partition = vertex_disjoint_paths(net)
     payload = {"count": partition.size,
                "paths": [list(p) for p in partition.paths]}
     human = [f"paths: {partition.size}"] + [
         "  " + " -> ".join(map(str, p)) for p in partition.paths]
-    if args.dot:
-        from .dot import export_dot
-
-        _write_text(args.dot, export_dot(net, paths=partition))
-    _emit(args, "paths", payload, digest, started, human)
-    return 0
+    _dot(args, net, paths=partition)
+    return payload, human, 0
 
 
-def cmd_spanning_tree(args) -> int:
+def cmd_spanning_tree(args, net: PhyloNetwork) -> Answer:
     from .treebased import rooted_spanning_tree
 
-    started = time.perf_counter()
-    net, digest = _load(args)
     tree = rooted_spanning_tree(net)
     outside = tree.unlabeled_leaves(net)
     payload = {
@@ -252,19 +226,13 @@ def cmd_spanning_tree(args) -> int:
     }
     human = [f"spanning tree with {len(tree.edges)} edges, "
              f"{len(outside)} leaf(s) outside the label set"]
-    if args.dot:
-        from .dot import export_dot
-
-        _write_text(args.dot, export_dot(net, tree=tree))
-    _emit(args, "spanning-tree", payload, digest, started, human)
-    return 0
+    _dot(args, net, tree=tree)
+    return payload, human, 0
 
 
-def cmd_complete(args) -> int:
+def cmd_complete(args, net: PhyloNetwork) -> Answer:
     from .treebased import tree_based_completion, zigzag_trails
 
-    started = time.perf_counter()
-    net, digest = _load(args)
     result = tree_based_completion(net)
     if zigzag_trails(result.network)[2]:
         raise RuntimeError("the completed network still has a W-fence")
@@ -275,16 +243,11 @@ def cmd_complete(args) -> int:
         "new_labels": list(result.labels),
         "network": text,
     }
-    human = [f"attached {len(result.attached_edges)} leaf(s)", text]
-    if args.out:
+    if args.out is not None:
         _write_network(args.out, result.network, text)
-    if args.dot:
-        from .dot import export_dot
-
-        new_leaves = tuple(result.network.vertex_by_label(lab) for lab in result.labels)
-        _write_text(args.dot, export_dot(result.network, attached=new_leaves))
-    _emit(args, "complete", payload, digest, started, human)
-    return 0
+    _dot(args, result.network,
+         attached=tuple(map(result.network.vertex_by_label, result.labels)))
+    return payload, [f"attached {len(result.attached_edges)} leaf(s)", text], 0
 
 
 def _resolve_vertices(net: PhyloNetwork, spec: str) -> tuple[int, ...]:
@@ -310,22 +273,18 @@ def _resolve_vertices(net: PhyloNetwork, spec: str) -> tuple[int, ...]:
     return tuple(dict.fromkeys(out))
 
 
-def cmd_antichain(args) -> int:
+def cmd_antichain(args, net: PhyloNetwork) -> Answer:
     from .antichains import (antichain_to_leaf, has_antichain_to_leaf_property,
                              is_temporal, max_antichain)
     from .treebased import deviation_indices
 
-    started = time.perf_counter()
-    net, digest = _load(args)
     if args.max:
         antichain, chains = max_antichain(net)
         payload = {"mode": "max", "antichain": list(antichain),
                    "size": len(antichain),
                    "chain_cover": [list(c) for c in chains]}
-        human = [f"maximum antichain (size {len(antichain)}): {list(antichain)}"]
-        _emit(args, "antichain", payload, digest, started, human)
-        return 0
-    if args.set:
+        return payload, [f"maximum antichain (size {len(antichain)}): {list(antichain)}"], 0
+    if args.set is not None:
         members = _resolve_vertices(net, args.set)
         try:
             routed, witness = antichain_to_leaf(net, members)
@@ -337,8 +296,7 @@ def cmd_antichain(args) -> int:
         human = [f"disjoint paths to leaves: {'yes' if routed else 'no'}"]
         if witness:
             human += ["  " + " -> ".join(map(str, p)) for p in witness.paths]
-        _emit(args, "antichain", payload, digest, started, human)
-        return 0 if routed else 1
+        return payload, human, 0 if routed else 1
     # --check-property
     temporal, _ = is_temporal(net)
     strategy = "temporal-shortcut" if temporal else "exhaustive"
@@ -348,16 +306,13 @@ def cmd_antichain(args) -> int:
         raise CliError(str(exc)) from exc
     payload = {"mode": "check-property", "strategy": strategy, "holds": holds}
     human = [f"antichain-to-leaf property: {'holds' if holds else 'fails'} ({strategy})"]
-    _emit(args, "antichain", payload, digest, started, human)
-    return 0 if holds else 1
+    return payload, human, 0 if holds else 1
 
 
-def cmd_temporal(args) -> int:
+def cmd_temporal(args, net: PhyloNetwork) -> Answer:
     from .antichains import _violating_antichain, is_temporal
     from .treebased import zigzag_trails
 
-    started = time.perf_counter()
-    net, digest = _load(args)
     temporal, tmap = is_temporal(net)
     payload = {"temporal": temporal,
                "ranks": list(tmap.ranks) if tmap else None,
@@ -369,65 +324,55 @@ def cmd_temporal(args) -> int:
         payload["violating_antichain"] = list(violating)
         human.append(f"not tree-based; antichain with no disjoint leaf routing: "
                      f"{list(violating)}")
-    _emit(args, "temporal", payload, digest, started, human)
-    return 0 if temporal else 1
+    return payload, human, 0 if temporal else 1
 
 
-def _generate(spec) -> PhyloNetwork:
-    from .generate import GenerationError, generate
-
-    try:
-        return generate(spec)
-    except GenerationError as exc:
-        raise CliError(str(exc)) from exc
-
-
-def cmd_gen(args) -> int:
-    from .generate import GenSpec
-
-    started = time.perf_counter()
-    net = _generate(GenSpec(args.leaves, args.retics, args.seed, temporal_only=args.temporal))
-    text = serialize_enewick(net)
-    payload = {"leaves": args.leaves, "retics": args.retics, "seed": args.seed,
-               "temporal_only": args.temporal,
-               "num_vertices": net.num_vertices, "network": text}
-    digest = hashlib.sha256(text.encode()).hexdigest()
-    if args.out:
-        _write_network(args.out, net, text)
-        human = [f"wrote {args.out}"]
-    else:
-        human = [text]
-    _emit(args, "gen", payload, digest, started, human)
-    return 0
-
-
-def cmd_bench(args) -> int:
-    from .generate import GenSpec
-    from .treebased import deviation_indices
+def _generate(args) -> tuple[PhyloNetwork, None]:
+    """The network of ``gen`` and ``bench``, which read no input;
+    ``args.generate_ms`` records the time generation alone took."""
+    from .generate import GenerationError, GenSpec, generate
 
     if args.repeat < 1:
         raise CliError("--repeat must be at least 1")
     started = time.perf_counter()
-    t0 = time.perf_counter()
-    net = _generate(GenSpec(args.leaves, args.retics, args.seed))
-    gen_ms = (time.perf_counter() - t0) * 1000.0
+    try:
+        net = generate(GenSpec(args.leaves, args.retics, args.seed, args.temporal))
+    except GenerationError as exc:
+        raise CliError(str(exc)) from exc
+    args.generate_ms = (time.perf_counter() - started) * 1000.0
+    return net, None
+
+
+def cmd_gen(args, net: PhyloNetwork) -> Answer:
+    text = serialize_enewick(net)
+    payload = {"leaves": args.leaves, "retics": args.retics, "seed": args.seed,
+               "temporal_only": args.temporal,
+               "num_vertices": net.num_vertices, "network": text}
+    if args.out is None:
+        return payload, [text], 0
+    _write_network(args.out, net, text)
+    return payload, [f"wrote {args.out}"], 0
+
+
+def cmd_bench(args, net: PhyloNetwork) -> Answer:
+    from .treebased import deviation_indices
+
     runs = []
     for _ in range(args.repeat):
-        t1 = time.perf_counter()
+        started = time.perf_counter()
         deviation_indices(net)
-        runs.append((time.perf_counter() - t1) * 1000.0)
+        runs.append((time.perf_counter() - started) * 1000.0)
     payload = {
         "leaves": args.leaves, "retics": args.retics, "seed": args.seed,
         "repeat": args.repeat, "num_vertices": net.num_vertices,
-        "generate_ms": round(gen_ms, 3),
+        "generate_ms": round(args.generate_ms, 3),
         "runs_ms": [round(r, 3) for r in runs],
         "best_ms": round(min(runs), 3),
         "mean_ms": round(sum(runs) / len(runs), 3),
     }
-    human = [f"|V| = {net.num_vertices}: generate {gen_ms:.1f} ms, "
+    human = [f"|V| = {net.num_vertices}: generate {args.generate_ms:.1f} ms, "
              f"indices best {min(runs):.1f} ms over {args.repeat} run(s)"]
-    _emit(args, "bench", payload, None, started, human)
-    return 0
+    return payload, human, 0
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -476,7 +421,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="rejection-sample until temporal")
     gen.add_argument("--out", metavar="PATH", help="write here instead of stdout")
     gen.add_argument("--json", action="store_true")
-    gen.set_defaults(func=cmd_gen)
+    gen.set_defaults(func=cmd_gen, repeat=1)  # _generate reads both commands' options
 
     bench = sub.add_parser("bench", help="time the index pipeline on a generated network")
     bench.add_argument("--leaves", type=int, required=True)
@@ -484,21 +429,34 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--seed", type=int, default=0)
     bench.add_argument("--repeat", type=int, default=3)
     bench.add_argument("--json", action="store_true")
-    bench.set_defaults(func=cmd_bench)
+    bench.set_defaults(func=cmd_bench, temporal=False)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    """Run one query: read and build the network (``gen`` and ``bench``
+    generate it), answer, and print the envelope or the human lines."""
+    args = _build_parser().parse_args(argv)
     # A query builds up to one tuple or list of ints per vertex and arc but
     # no reference cycle, so reference counting frees all of it; the cyclic
     # collector would only rescan it.  The caller's setting is restored.
     collecting = gc.isenabled()
     gc.disable()
     try:
-        return args.func(args)
+        started = time.perf_counter()
+        net, digest = (_load if "input" in args else _generate)(args)
+        payload, human, code = args.func(args, net)
+        if args.command == "gen":  # what gen answers about is the network it writes
+            digest = hashlib.sha256(payload["network"].encode()).hexdigest()
+        if args.json:
+            elapsed_ms = round((time.perf_counter() - started) * 1000.0, 3)
+            print(_json_text({"tool": "tbnet", "version": __version__, "command": args.command,
+                              "input_sha256": digest, "elapsed_ms": elapsed_ms,
+                              "payload": payload}))
+        else:
+            print(*human, sep="\n")
+        return code
     except (CliError, ParseError, InvalidNetworkError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

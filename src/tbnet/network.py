@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import re
 from itertools import chain
+from operator import index
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -218,10 +219,11 @@ class PhyloNetwork:
     def __init__(self, edges: Iterable[Edge], leaf_labels: Mapping[int, str], num_vertices: int | None = None):
         edge_tuple = tuple(edges)
         # The readers and the generator pass pairs of ints, which need no
-        # copy; three C-level type tests confirm it.
+        # copy; three C-level type tests confirm it.  operator.index copies
+        # other ids, and refuses a float or a string instead of truncating it.
         if not (set(map(type, edge_tuple)) <= {tuple} and set(map(len, edge_tuple)) <= {2}
                 and set(map(type, chain.from_iterable(edge_tuple))) <= {int}):
-            edge_tuple = tuple((int(u), int(v)) for u, v in edge_tuple)
+            edge_tuple = tuple((index(u), index(v)) for u, v in edge_tuple)
         labels = dict(leaf_labels)
         if num_vertices is None:
             num_vertices = max(max(chain.from_iterable(edge_tuple), default=-1),

@@ -13,11 +13,12 @@ measures quantify how far a network is from that property:
 
 All three equal the number of W-fences of the path graph, which one
 zig-zag trail walk (:func:`zigzag_trails`) counts.  The same walk gives the
-witnesses: its maximum matching chains a minimum path partition, from which
-follows a spanning tree realizing ``l``; the unmatched vertices with
-out-edges, that tree's unlabeled leaves, give a completion realizing ``t``;
-and its first W-fence is the failure witness.  Each query walks once; the
-completion writes its edge list in one pass and builds once.
+witnesses: its maximum matching chains a minimum path partition and, with
+each path start hung below a parent, a spanning tree realizing ``l``; the
+unmatched vertices with out-edges, that tree's unlabeled leaves, give a
+completion realizing ``t``; and its first W-fence is the failure witness.
+Each query walks once; the completion writes its edge list in one pass and
+builds once.
 """
 
 from __future__ import annotations
@@ -179,25 +180,26 @@ def deviation_indices(net: PhyloNetwork) -> DeviationReport:
 
 
 def rooted_spanning_tree(net: PhyloNetwork) -> SpanningTree:
-    """A rooted spanning tree with the fewest possible unlabeled leaves.
-
-    Take a minimum path partition; keep the root's path; splice every other
-    path below some parent of its start vertex (the smallest-id parent, for
-    determinism).  A path end can never be such a parent: the matching
-    behind the partition is maximum, so an edge from an unmatched-left path
-    end to an unmatched-right path start would be an augmenting edge.  The
-    tree's unlabeled leaves are therefore exactly the path ends outside X.
-    """
-    return _spanning_tree(net, vertex_disjoint_paths(net))
+    """A rooted spanning tree with the fewest possible unlabeled leaves:
+    the path ends outside X of a minimum path partition."""
+    succ, pred, _ = zigzag_trails(net)
+    return _spanning_tree(net, succ, pred)
 
 
-def _spanning_tree(net: PhyloNetwork, partition: PathPartition) -> SpanningTree:
-    edges = [e for path in partition.paths for e in zip(path, path[1:])]
-    edges += [(net.parents[path[0]][0], path[0]) for path in partition.paths if path[0] != net.root]
+def _spanning_tree(net: PhyloNetwork, succ: list[int], pred: list[int]) -> SpanningTree:
+    """The tree read off the walk's matching: every matched arc (u,
+    succ[u]), which chains the minimum path partition, and every path start
+    but the root spliced below its smallest-id parent.  No path end (a
+    vertex without a successor) is such a parent: the matching is maximum,
+    so an arc from an unmatched-left path end to an unmatched-right path
+    start would augment it.  The tree's leaves are therefore exactly the
+    path ends."""
+    parents, root = net.parents, net.root
+    edges = [(u, v) for u, v in enumerate(succ) if v != -1]
+    edges += [(parents[v][0], v) for v, u in enumerate(pred) if u == -1 and v != root]
     edges.sort()
-    out_used = {u for u, _ in edges}
-    leaves = tuple(sorted(v for path in partition.paths for v in path if v not in out_used))
-    return SpanningTree(edges=tuple(edges), root=net.root, leaves=leaves)
+    leaves = tuple(v for v, w in enumerate(succ) if w == -1)
+    return SpanningTree(edges=tuple(edges), root=root, leaves=leaves)
 
 
 def is_tree_based(net: PhyloNetwork) -> tuple[bool, TreeBasedCertificate]:
@@ -209,7 +211,7 @@ def is_tree_based(net: PhyloNetwork) -> tuple[bool, TreeBasedCertificate]:
     succ, pred, fences = zigzag_trails(net)
     if fences:
         return False, _failure_witness(net, fences[0])
-    tree = _spanning_tree(net, _chained_paths(net, succ, pred))
+    tree = _spanning_tree(net, succ, pred)
     if tree.unlabeled_leaves(net):
         raise ValueError("no W-fence, yet the base tree has an unlabeled leaf")
     return True, BaseTreeCertificate(tree)
@@ -253,10 +255,10 @@ def tree_based_completion(net: PhyloNetwork) -> CompletionResult:
     Every unlabeled leaf of the spanning tree :func:`rooted_spanning_tree`
     builds gets a new pendant leaf on its smallest-headed out-edge.  Those
     leaves are read straight off the trail walk: they are the vertices
-    with out-edges and no successor, since no path end is the parent a
-    path start is spliced below.  That adds exactly ``t`` leaves, labeled
-    ``attached_1``, ``attached_2``, ... in ascending order of the
-    subdivided edge's tail, skipping every label the input already uses.
+    with out-edges and no successor (see :func:`_spanning_tree`).  That
+    adds exactly ``t`` leaves, labeled ``attached_1``, ``attached_2``, ...
+    in ascending order of the subdivided edge's tail, skipping every label
+    the input already uses.
     The i-th edge (u, v) becomes (u, s), (s, v) in place and (s, s + 1) is
     appended, with s = n + 2i: the ids and edge order of :func:`attach_leaf`
     applied edge by edge, built once.  With nothing to attach, ``net`` is

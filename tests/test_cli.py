@@ -401,6 +401,32 @@ def test_unwritable_output_path_is_an_input_error(capsys, tmp_path, argv, option
     assert "Traceback" not in err
 
 
+def test_an_empty_set_is_refused_not_taken_as_absent(capsys):
+    # an empty --set must not fall through to --check-property
+    code, out, err = run(capsys, "antichain", "--set", "", fixture_path("diamond.edges"))
+    assert (code, out, err) == (2, "", "error: --set needs at least one vertex\n")
+
+
+def test_an_empty_dot_path_is_an_input_error(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "check", fixture_path("diamond.edges"), "--dot", "")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ("complete", fixture_path("deviation_one.edges")),
+    ("gen", "--leaves", "3", "--retics", "0"),
+], ids=lambda argv: argv[0])
+def test_an_empty_out_path_is_an_input_error(capsys, argv):
+    # an empty --out must not fall back to stdout
+    code, out, err = run(capsys, *argv, "--out", "")
+    assert (code, out) == (2, "")
+    assert err == ("error: cannot infer format from ''; give it one of the extensions "
+                   ".nwk .enwk .enewick .newick .edges .edgelist\n")
+
+
 def test_stdin_enewick(capsys, monkeypatch):
     monkeypatch.setattr(sys, "stdin", io.StringIO("((a,(b)#H1),(#H1,c));"))
     code, env, _ = run_json(capsys, "check", "-")

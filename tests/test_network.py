@@ -52,16 +52,25 @@ def test_validate_rejects(edges, labels, n, rule):
 
 @pytest.mark.parametrize("edges", [
     [[0, 1], [0, 2]],                      # lists
-    (("0", "1"), (0, "2")),                # strings of digits
-    ((0, True), (0, 2.0)),                 # an int subclass and a float
+    ((0, True), (0, 2)),                   # an int subclass
     ((u, v) for u, v in ((0, 1), (0, 2))),  # a one-shot iterator
-], ids=["lists", "strings", "bool-float", "iterator"])
+], ids=["lists", "bool", "iterator"])
 def test_ids_that_are_not_int_pairs_go_through_int(edges):
-    # pairs of ints are kept as given; anything else is copied through int()
+    # pairs of ints are kept as given; other integer ids become plain ints
     net = PhyloNetwork(edges, {1: "a", 2: "b"})
     assert net.edges == ((0, 1), (0, 2))
     assert {type(x) for e in net.edges for x in e} == {int}
     assert {type(e) for e in net.edges} == {tuple}
+
+
+@pytest.mark.parametrize("edges", [
+    (("0", "1"), (0, "2")),                # strings of digits
+    ((0, 1.9), (0, 2)),                    # a float that int() would truncate
+    ((0, 1), (0, 2.0)),                    # a float with an integral value
+], ids=["strings", "float", "integral-float"])
+def test_ids_that_are_not_ints_are_refused(edges):
+    with pytest.raises(TypeError):
+        PhyloNetwork(edges, {1: "a", 2: "b"})
 
 
 def test_an_edge_that_is_not_a_pair_is_refused():

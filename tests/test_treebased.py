@@ -220,3 +220,26 @@ def test_completion_matches_sequential_attach_leaf():
         assert result.labels == labels
         if not attached:
             assert result.network is net
+
+
+def _reference_spanning_tree(net):
+    """The tree as first built: chain the matching into paths, hang each
+    path but the root's below the smallest parent of its start, and take as
+    leaves the vertices that no tree edge leaves."""
+    partition = vertex_disjoint_paths(net)
+    edges = [e for path in partition.paths for e in zip(path, path[1:])]
+    edges += [(net.parents[path[0]][0], path[0]) for path in partition.paths
+              if path[0] != net.root]
+    edges.sort()
+    out_used = {u for u, _ in edges}
+    leaves = sorted(v for path in partition.paths for v in path if v not in out_used)
+    return tuple(edges), net.root, tuple(leaves)
+
+
+def test_spanning_tree_matches_the_chained_paths_reference():
+    for net in corpus(3000, max_leaves=8, max_retics=6, seed_base=45_000):
+        expected = _reference_spanning_tree(net)
+        assert tuple(rooted_spanning_tree(net)) == expected, net.edges
+        based, cert = is_tree_based(net)
+        if based:
+            assert tuple(cert.tree) == expected
