@@ -8,10 +8,12 @@ tree edges, constant along reticulation edges) that property is equivalent
 to being tree-based, and a failing antichain can be constructed from any
 reticulation-to-reticulation path of the saturation graph.
 
-Both antichain queries are unit flows on the split DAG, where vertex v is
-an arc from its in-copy to its out-copy: routing to the leaves is a maximum
-flow, a maximum antichain a minimum flow.  Only :func:`maximal_antichains`,
-behind the size-bounded exhaustive check, holds descendant bitmasks.
+Both antichain queries are unit flows on the split DAG, searched in place:
+vertex v's in-copy 2v and out-copy 2v + 1 read their residual arcs off the
+network's child and parent lists, and no flow network is built.  Routing
+to the leaves is a maximum flow, a maximum antichain a minimum flow.  Only
+:func:`maximal_antichains`, behind the size-bounded exhaustive check,
+holds descendant bitmasks.
 """
 
 from __future__ import annotations
@@ -53,115 +55,125 @@ class DisjointPathWitness(NamedTuple):
     paths: tuple[tuple[int, ...], ...]
 
 
-class _UnitFlow:
-    """Tiny arc-list max-flow network with BFS augmentation.  Arc ``a`` is
-    even and its reverse ``a ^ 1`` has the flow on it (above any lower bound)
-    as capacity.  Nodes 2v and 2v + 1 are vertex v's in- and out-copy."""
-
-    def __init__(self, n_nodes: int):
-        self.head = [-1] * n_nodes
-        self.to: list[int] = []
-        self.cap: list[int] = []
-        self.nxt: list[int] = []
-
-    def add(self, u: int, v: int, cap: int, flow: int = 0) -> None:
-        idx = len(self.to)
-        self.to.append(v)
-        self.cap.append(cap - flow)
-        self.nxt.append(self.head[u])
-        self.head[u] = idx
-        self.to.append(u)
-        self.cap.append(flow)
-        self.nxt.append(self.head[v])
-        self.head[v] = idx + 1
-
-    def max_flow(self, s: int, t: int) -> tuple[int, list[int]]:
-        """Augment along shortest paths until t is cut off from s.  Returns
-        the flow value and the labels of the last, failing search: -1 marks
-        every node that s no longer reaches."""
-        total = 0
-        n = len(self.head)
-        while True:
-            parent_arc = [-1] * n
-            parent_arc[s] = -2
-            queue = deque([s])
-            while queue and parent_arc[t] == -1:
-                u = queue.popleft()
-                a = self.head[u]
-                while a != -1:
-                    v = self.to[a]
-                    if self.cap[a] > 0 and parent_arc[v] == -1:
-                        parent_arc[v] = a
-                        queue.append(v)
-                    a = self.nxt[a]
-            if parent_arc[t] == -1:
-                return total, parent_arc
-            v = t
-            while v != s:
-                a = parent_arc[v]
-                self.cap[a] -= 1
-                self.cap[a ^ 1] += 1
-                v = self.to[a ^ 1]
-            total += 1
-
-    def follow(self, node: int, stop: int) -> list[int]:
-        """The vertices one unit of flow enters from ``node`` to ``stop``,
-        leaving each out-copy over its first arc in scan order with flow left.
-        The unit is consumed and the empty arcs passed over are unlinked."""
-        path = []
-        while True:
-            arc = self.head[node]
-            while arc != -1 and (arc & 1 or not self.cap[arc ^ 1]):
-                arc = self.nxt[arc]
-            self.head[node] = arc
-            if arc == -1:
-                raise RuntimeError("flow decoding lost its way")
-            self.cap[arc ^ 1] -= 1
-            step = self.to[arc]
-            if step == stop:
-                return path
-            path.append(step // 2)
-            node = step + 1
-
-
 def max_antichain(net: PhyloNetwork) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
     """A maximum antichain plus a witnessing minimum chain partition.
 
     Dilworth by Fulkerson's minimum flow on the split DAG: v_in -> v_out
     with lower bound 1, s -> v_in, v_out -> t and u_out -> v_in per arc
-    (u, v), all uncapped.  The trail walk's |X| + p paths seed the flow, and
-    the leaves are an antichain of |X|, so pushing flow back from t to s
-    takes at most p augmentations: O(p (n + m)) time, linear memory.  The
-    v whose v_out but not v_in t then reaches form an antichain as large as
-    the flow (checked).  The chains are the flow's units from s, each vertex
-    kept by the first unit through it, sorted by their first vertex.
+    (u, v), all uncapped.  The trail walk's |X| + p paths seed it, with s
+    and t arcs at their ends only; the leaves are an antichain of |X|, so
+    at most p units go back from t to s.  Dinic phases move them, each a
+    level search from t and depth-first searches with a current arc per
+    node: O(phases (n + m)) time, linear memory.  The v whose v_out but not
+    v_in t then reaches form an antichain as large as the flow (checked),
+    the same for every minimum flow.  The chains are the flow's units from
+    s, each vertex kept by the first unit through it, sorted by first vertex.
     """
     n = net.num_vertices
+    children, parents = net.children, net.parents
     succ, pred, _ = zigzag_trails(net)
     source, sink = 2 * n, 2 * n + 1
-    free = n + 1  # more than any number of augmentations: uncapped
-    flow = _UnitFlow(2 * n + 2)
-    for v in range(n):
-        flow.add(2 * v, 2 * v + 1, free)
-    for u, v in net.edges:
-        flow.add(2 * u + 1, 2 * v, free, 1 if succ[u] == v else 0)
-    # Only seed path starts and ends get s and t arcs: flow pushed from t to
-    # s never leaves s or enters t, so the other arcs would stay empty.
-    for v in range(n):
-        if pred[v] == -1:
-            flow.add(source, 2 * v, free, 1)
-        if succ[v] == -1:
-            flow.add(2 * v + 1, sink, free, 1)
-    seeded = pred.count(-1)
-    pushed, reached = flow.max_flow(sink, source)
+    # The flow: arc[2u + i] on u's arc to its i-th child, above[v] units over
+    # v's lower bound, src[v] and snk[v] on v's arcs from s and to t.
+    arc = [0] * (2 * n)
+    for u in range(n):
+        if succ[u] != -1:
+            arc[2 * u + (children[u][0] != succ[u])] = 1
+    above, src, snk = [0] * n, [int(p == -1) for p in pred], [int(w == -1) for w in succ]
+    ends = [2 * v + 1 for v in range(n - 1, -1, -1) if snk[v]]
+    # Residual arcs, taking flow back from t: v_out's 0-1 to its children's
+    # in-copies, 2 to v_in over v's units above its bound; v_in's 0 to s over
+    # its unit from s, 1-2 to its parents' out-copies over the arc's units, 3 to v_out.
+    while True:
+        level = [-1] * (2 * n + 1) + [0]  # breadth first from t, up to s
+        frontier = [x for x in ends if snk[x >> 1]]
+        for x in frontier:
+            level[x] = 1
+        while frontier and level[source] < 0:
+            reached = []
+            for x in frontier:
+                v, up = x >> 1, level[x] + 1
+                if x & 1:
+                    for w in children[v]:
+                        if level[2 * w] < 0:
+                            level[2 * w] = up
+                            reached.append(2 * w)
+                    if above[v] and level[x - 1] < 0:
+                        level[x - 1] = up
+                        reached.append(x - 1)
+                else:
+                    if src[v]:
+                        level[source] = up
+                    for u in parents[v]:
+                        if level[2 * u + 1] < 0 and arc[2 * u + (children[u][0] != v)]:
+                            level[2 * u + 1] = up
+                            reached.append(2 * u + 1)
+                    if level[x + 1] < 0:
+                        level[x + 1] = up
+                        reached.append(x + 1)
+            frontier = reached
+        if level[source] < 0:
+            break
+        cur = bytearray(2 * n + 2)  # each node's current arc
+        for start in ends:
+            stack = [start] if level[start] == 1 else []
+            while stack and snk[start >> 1]:
+                x = stack[-1]
+                if x == source:  # take one unit back along the stack
+                    snk[start >> 1] -= 1
+                    for x, y in zip(stack, stack[1:]):
+                        v = x >> 1
+                        if x & 1 and y == x - 1:
+                            above[v] -= 1
+                        elif x & 1:
+                            arc[2 * v + cur[x]] += 1
+                        elif y == x + 1:
+                            above[v] += 1
+                        elif y == source:
+                            src[v] -= 1
+                        else:
+                            arc[y - 1 + (children[y >> 1][0] != v)] -= 1
+                    del stack[1:]
+                    continue
+                v, i, up = x >> 1, cur[x], level[x] + 1
+                while i < 4:  # t, at level 0, stands for a missing arc
+                    if x & 1:
+                        kids = children[v]
+                        y = 2 * kids[i] if i < len(kids) else x - 1 if i == 2 and above[v] else sink
+                    elif i == 0 or i == 3:
+                        y = x + 1 if i else source if src[v] else sink
+                    else:
+                        u = parents[v][i - 1] if i <= len(parents[v]) else -1
+                        y = 2 * u + 1 if u >= 0 and arc[2 * u + (children[u][0] != v)] else sink
+                    if level[y] == up:
+                        break
+                    i += 1
+                cur[x] = i
+                if i < 4:
+                    stack.append(y)
+                else:  # a dead end for the rest of the phase
+                    level[x] = -1
+                    stack.pop()
+                    if stack:
+                        cur[stack[-1]] += 1
 
-    antichain = tuple(v for v in range(n) if reached[2 * v] == -1 and reached[2 * v + 1] != -1)
+    antichain = tuple(v for v in range(n) if level[2 * v] < 0 and level[2 * v + 1] >= 0)
     taken = bytearray(n)
     chains = []
-    for _ in range(seeded - pushed):
-        chain = [v for v in flow.follow(source, sink) if not taken[v]]
-        for v in chain:
-            taken[v] = 1
+    for v in [v for v in range(n - 1, -1, -1) if src[v]]:  # a chain per unit from s
+        chain = []
+        while True:
+            if not taken[v]:
+                taken[v] = 1
+                chain.append(v)
+            if snk[v]:
+                break
+            i = 1 if arc[2 * v + 1] else 0
+            if not arc[2 * v + i]:
+                raise RuntimeError("flow decoding lost its way")
+            arc[2 * v + i] -= 1
+            v = children[v][i]
+        snk[v] -= 1
         chains.append(tuple(chain))
     chains.sort()
 
@@ -175,7 +187,9 @@ def antichain_to_leaf(net: PhyloNetwork, antichain: Iterable[int]):
 
     Unit vertex capacities (vertex splitting) reduce this to a max-flow
     instance; the answer is True iff the flow value equals the antichain
-    size, in which case the witness paths are decoded from the flow.
+    size, in which case the witness paths are read off the flow.  Each
+    unit is found by a breadth-first search of the split DAG's residual,
+    O(k (n + m)) for k members.
 
     Raises ValueError if the input is not an antichain.
     """
@@ -183,21 +197,59 @@ def antichain_to_leaf(net: PhyloNetwork, antichain: Iterable[int]):
     if not is_antichain(net, members):
         raise ValueError("input vertex set is not an antichain")
     n = net.num_vertices
+    children = net.children
+    last = dict(net.edges)  # each vertex's child on its last arc: searched first
     source, sink = 2 * n, 2 * n + 1
-    flow = _UnitFlow(2 * n + 2)
-    for v in range(n):
-        flow.add(2 * v, 2 * v + 1, 1)
-    for u, v in net.edges:
-        flow.add(2 * u + 1, 2 * v, 1)
-    for v in members:
-        flow.add(source, 2 * v, 1)
-    for x in net.leaves:
-        flow.add(2 * x + 1, sink, 1)
-    if flow.max_flow(source, sink)[0] != len(members):
-        return False, None
-    # unit capacities leave one unit, hence one path, through each member
-    paths = tuple((a, *flow.follow(2 * a + 1, sink)) for a in members)
-    return True, DisjointPathWitness(paths)
+    # The flow: v's unit comes from prv[v] and goes to nxt[v], where n
+    # stands for s and t, and -1 for no unit.
+    prv, nxt = [-1] * n, [-1] * n
+    for _ in members:
+        label = [-1] * (2 * n + 2)  # the node each node was reached from
+        queue = [2 * v for v in reversed(members) if prv[v] != n]
+        for x in queue:
+            label[x] = source
+        for x in queue:
+            v = x >> 1
+            if x & 1:
+                w, kids = nxt[v], children[v]
+                if not kids and w != n:
+                    label[sink] = x
+                    break
+                if len(kids) == 2 and kids[1] == last[v]:
+                    kids = kids[::-1]
+                ys = [2 * c for c in kids if c != w] + [x - 1] * (w != -1)
+            else:
+                u = prv[v]
+                ys = [x + 1] if u == -1 else [2 * u + 1] if u != n else []
+            for y in ys:
+                if label[y] < 0:
+                    label[y] = x
+                    queue.append(y)
+        else:  # t is out of reach: the flow stops short of the members
+            return False, None
+        # Each vertex's unit is entered and left once on the path: the
+        # updates commute, and a unit taken back on an arc is replaced.
+        y = sink
+        while y != source:
+            x = label[y]
+            if x == source:
+                prv[y >> 1] = n
+            elif y == sink:
+                nxt[x >> 1] = n
+            elif x & 1 and y == x - 1:
+                prv[y >> 1] = nxt[y >> 1] = -1
+            elif x & 1:
+                nxt[x >> 1], prv[y >> 1] = y >> 1, x >> 1
+            y = x
+    paths = []
+    for a in members:  # one unit, hence one path, through each member
+        path = [a]
+        while nxt[path[-1]] != n:
+            if nxt[path[-1]] < 0:
+                raise RuntimeError("flow decoding lost its way")
+            path.append(nxt[path[-1]])
+        paths.append(tuple(path))
+    return True, DisjointPathWitness(tuple(paths))
 
 
 def maximal_antichains(net: PhyloNetwork):
@@ -214,11 +266,8 @@ def maximal_antichains(net: PhyloNetwork):
             desc[v] |= (1 << c) | desc[c]
     anc = [0] * n
     for v in range(n):
-        d = desc[v]
-        while d:
-            low = d & -d
-            anc[low.bit_length() - 1] |= 1 << v
-            d ^= low
+        for a in _bits(desc[v]):
+            anc[a] |= 1 << v
     full = (1 << n) - 1
     inc = [full & ~(desc[v] | anc[v] | (1 << v)) for v in range(n)]
 
@@ -226,10 +275,7 @@ def maximal_antichains(net: PhyloNetwork):
         if p == 0 and x == 0:
             yield r
             return
-        pivot_pool = p | x
-        pivot = max(
-            (bin(p & inc[v]).count("1"), -v) for v in _bits(pivot_pool)
-        )[1] * -1
+        pivot = -max((bin(p & inc[v]).count("1"), -v) for v in _bits(p | x))[1]
         for v in _bits(p & ~inc[pivot]):
             bit = 1 << v
             yield from expand(r | bit, p & inc[v], x & inc[v])
@@ -247,11 +293,8 @@ def _bits(mask: int):
         mask ^= low
 
 
-def has_antichain_to_leaf_property(
-    net: PhyloNetwork,
-    mode: str = "exhaustive",
-    max_vertices: int = DEFAULT_EXHAUSTIVE_BOUND,
-) -> bool:
+def has_antichain_to_leaf_property(net: PhyloNetwork, mode: str = "exhaustive",
+                                   max_vertices: int = DEFAULT_EXHAUSTIVE_BOUND) -> bool:
     """Decide whether every antichain reaches leaves disjointly.
 
     ``exhaustive`` checks every *maximal* antichain, which suffices: if
@@ -264,22 +307,15 @@ def has_antichain_to_leaf_property(
     equivalence with tree-basedness there.
     """
     if mode == "temporal-shortcut":
-        ok, _ = is_temporal(net)
-        if not ok:
+        if not is_temporal(net)[0]:
             raise ValueError("temporal-shortcut mode requires a temporal network")
         return deviation_indices(net).p == 0
     if mode != "exhaustive":
         raise ValueError(f"unknown mode {mode!r}")
     if net.num_vertices > max_vertices:
-        raise ValueError(
-            f"exhaustive antichain check limited to {max_vertices} vertices "
-            f"(got {net.num_vertices})"
-        )
-    for antichain in maximal_antichains(net):
-        ok, _ = antichain_to_leaf(net, antichain)
-        if not ok:
-            return False
-    return True
+        raise ValueError(f"exhaustive antichain check limited to {max_vertices} vertices "
+                         f"(got {net.num_vertices})")
+    return all(antichain_to_leaf(net, antichain)[0] for antichain in maximal_antichains(net))
 
 
 class TemporalMap(NamedTuple):
@@ -372,8 +408,7 @@ def temporal_violating_antichain(net: PhyloNetwork) -> tuple[int, ...]:
     k+1 that provably cannot reach the leaves disjointly (checked before
     returning).
     """
-    ok, _ = is_temporal(net)
-    if not ok:
+    if not is_temporal(net)[0]:
         raise ValueError("network is not temporal")
     fences = zigzag_trails(net)[2]
     if not fences:
@@ -390,7 +425,6 @@ def _violating_antichain(net: PhyloNetwork, fence: tuple[int, ...]) -> tuple[int
     result = tuple(sorted(v for v in u_set if v not in drop))
     if not is_antichain(net, result):
         raise RuntimeError("comparable pair with no reticulation route")
-    routed, _ = antichain_to_leaf(net, result)
-    if routed:
+    if antichain_to_leaf(net, result)[0]:
         raise RuntimeError("constructed antichain unexpectedly reaches leaves disjointly")
     return result

@@ -2,10 +2,10 @@
 
 Exit codes: 0 for success (or a positive analysis answer), 1 for a negative
 analysis answer (not tree-based, property fails, not temporal), 2 for input
-or usage errors, 3 for an internal error (any other exception, or a failed
-self-check), reported with its traceback.  ``--json`` wraps every payload in
-a fixed envelope whose schema ships with the package as
-``report.schema.json``.
+or usage errors and for a stdout closed before the answer was written, 3
+for an internal error (any other exception, or a failed self-check),
+reported with its traceback.  ``--json`` wraps every payload in a fixed
+envelope whose schema ships with the package as ``report.schema.json``.
 
 One pipeline in :func:`main` serves every subcommand.  It reads and builds
 the input network (``gen`` and ``bench`` generate theirs), times the query,
@@ -29,6 +29,7 @@ from __future__ import annotations
 import argparse
 import gc
 import hashlib
+import os
 import sys
 import time
 from itertools import chain
@@ -444,6 +445,10 @@ def main(argv=None) -> int:
     collecting = gc.isenabled()
     gc.disable()
     try:
+        for option in ("dot", "out"):
+            if args.json and getattr(args, option, None) == "-":
+                raise CliError(f"--{option} - would mix into the JSON report on stdout; "
+                               f"give --{option} a file path")
         started = time.perf_counter()
         net, digest = (_load if "input" in args else _generate)(args)
         payload, human, code = args.func(args, net)
@@ -456,9 +461,16 @@ def main(argv=None) -> int:
                               "payload": payload}))
         else:
             print(*human, sep="\n")
+        sys.stdout.flush()
         return code
     except (CliError, ParseError, InvalidNetworkError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except BrokenPipeError:
+        # The reader closed stdout.  What is still buffered goes to the null
+        # device, so the flush at exit cannot fail a second time.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: stdout was closed before the answer was written", file=sys.stderr)
         return 2
     except Exception:
         import traceback

@@ -401,6 +401,44 @@ def test_unwritable_output_path_is_an_input_error(capsys, tmp_path, argv, option
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, option", [
+    (("check", fixture_path("diamond.nwk")), "--dot"),
+    (("complete", fixture_path("deviation_one.edges")), "--out"),
+    (("gen", "--leaves", "4", "--retics", "1"), "--out"),
+], ids=lambda v: v[0] if isinstance(v, tuple) else v)
+def test_a_stdout_path_is_refused_with_json(capsys, argv, option):
+    code, out, err = run(capsys, *argv, option, "-", "--json")
+    assert (code, out) == (2, "")
+    assert err == (f"error: {option} - would mix into the JSON report on stdout; "
+                   f"give {option} a file path\n")
+
+
+def test_a_stdout_path_without_json_writes_ahead_of_the_answer(capsys):
+    code, out, err = run(capsys, "check", fixture_path("diamond.nwk"), "--dot", "-")
+    assert (code, err) == (0, "")
+    assert out.startswith("digraph network {")
+    assert out.endswith("}\ntree-based: yes\nbase tree edges: 6\n")
+
+
+CLOSED_STDOUT = (
+    "import os, subprocess, sys\n"
+    "read, write = os.pipe()\n"
+    "os.close(read)\n"
+    "proc = subprocess.run([sys.executable, '-m', 'tbnet.cli', *sys.argv[1:]],\n"
+    "                      stdout=write, stderr=subprocess.PIPE)\n"
+    "print(proc.returncode)\n"
+    "print(proc.stderr.decode(), end='')\n"
+)
+
+
+@pytest.mark.parametrize("flags", [(), ("--json",)], ids=["human", "json"])
+def test_a_closed_stdout_is_an_error_not_a_crash(flags):
+    proc = run_python("-c", CLOSED_STDOUT, "paths", fixture_path("killer.nwk"), *flags)
+    code, err = proc.stdout.decode().split("\n", 1)
+    assert code == "2"
+    assert err == "error: stdout was closed before the answer was written\n"
+
+
 def test_an_empty_set_is_refused_not_taken_as_absent(capsys):
     # an empty --set must not fall through to --check-property
     code, out, err = run(capsys, "antichain", "--set", "", fixture_path("diamond.edges"))

@@ -1,13 +1,18 @@
 """What a query loads: the package resolves its names on first use, and each
 subcommand imports only the modules it runs."""
 
+import ast
+import importlib
 import types
 
 import pytest
 
 import tbnet
+from tbnet.network import PhyloNetwork
 
 from conftest import FIXTURES, run_python
+
+TRACING = FIXTURES.parents[1] / "perfbench" / "tracing.py"
 
 LOADED = (
     "import sys\n"
@@ -68,3 +73,18 @@ def test_loading_a_submodule_does_not_shadow_its_function():
                             "from tbnet import generate\n"
                             "print(type(generate).__name__)")
     assert proc.stdout.decode().strip() == "function"
+
+
+def test_every_traced_name_resolves():
+    # the traced benchmark swaps these names for wrappers; read them from its
+    # source, so a rename fails here rather than in a traced run
+    tables = {node.targets[0].id: ast.literal_eval(node.value)
+              for node in ast.parse(TRACING.read_text()).body
+              if isinstance(node, ast.Assign) and len(node.targets) == 1
+              and getattr(node.targets[0], "id", None) in ("WRAPPED", "METHODS")}
+    for module, names in tables["WRAPPED"].items():
+        for name in names:
+            assert callable(getattr(importlib.import_module(module), name, None)), (module, name)
+    for attr in tables["METHODS"]:
+        assert callable(PhyloNetwork.__dict__.get(attr)), attr
+    assert {"antichain_to_leaf", "max_antichain"} <= set(tables["WRAPPED"]["tbnet.antichains"])
