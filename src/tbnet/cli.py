@@ -9,19 +9,26 @@ envelope whose schema ships with the package as ``report.schema.json``.
 
 One pipeline in :func:`main` serves every subcommand.  It reads and builds
 the input network (``gen`` and ``bench`` generate theirs), times the query,
-calls the subcommand's answer function and prints the ``--json`` envelope
-or the human lines.  An answer function ``cmd_*(args, net)`` holds only its
-library call and returns ``(payload, human_lines, exit_code)``; every
-``--dot`` is written by :func:`_dot`.
+calls the subcommand's answer function and writes the ``--json`` envelope
+or the human lines to stdout in one write.  An answer function
+``cmd_*(args, net)`` holds only its library call and returns
+``(payload, human_lines, exit_code)``, with the library's tuples in the
+payload as they are; every ``--dot`` is written by :func:`_dot`.
+:func:`_json_text` writes the envelope, each edge or path from one ``%``
+template, and loads ``json.encoder`` only for a string that needs escapes.
 
 Each answer function imports the modules it runs, so a query loads only
 its own layers: ``check``, ``indices``, ``paths``, ``spanning-tree`` and
 ``complete`` load ``network``, the reader and ``treebased``;
 ``antichains``, ``generate`` and ``dot`` load only where they are used.
-No subcommand loads ``matching``, the reference route, or ``dataclasses``.
-:func:`main` turns the cyclic garbage collector off while a query runs,
-since a query's structures hold no reference cycles, and restores the
-caller's setting on return.
+No subcommand loads ``matching``, the reference route, ``dataclasses`` or
+``json``.  :func:`main` turns the cyclic garbage collector off while a
+query runs, since a query's structures hold no reference cycles, and
+restores the caller's setting on return.  :func:`process_main`, the one
+entry point of ``python -m tbnet.cli`` and the ``tbnet`` script, runs
+``main`` and then freezes the heap, so the interpreter's shutdown
+collections do not scan what is about to be freed; ``main`` itself never
+freezes.
 """
 
 from __future__ import annotations
@@ -33,7 +40,7 @@ import os
 import sys
 import time
 from itertools import chain
-from json.encoder import encode_basestring_ascii
+from typing import NoReturn
 
 from . import __version__
 from .enewick import ParseError, parse_enewick, serialize_enewick
@@ -118,24 +125,36 @@ def _write_text(path: str, text: str) -> None:
             raise CliError(str(exc)) from exc
 
 
+def _quoted(text: str) -> str:
+    """``text`` as json.dumps writes a str.  Printable ASCII without ``"``
+    or ``\\`` needs no escape; only other text loads ``json.encoder``."""
+    if text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
+        return '"' + text + '"'
+    from json.encoder import encode_basestring_ascii
+
+    return encode_basestring_ascii(text)
+
+
 def _json_text(obj, newline: str = "\n") -> str:
     """``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte, for
     dicts with str keys, lists, tuples, str, int, float, bool and None.
     ``newline`` is a newline plus the indent of the line ``obj`` is on.
     The json module writes indented output in pure Python, one call per
-    value; this joins each all-int list in one step, and each list of
-    non-empty all-int lists (edges, paths) without a call per inner list."""
+    value; this joins each all-int list in one step, and fills each item of
+    a list of all-int tuples (edges, paths, as the library returns them)
+    into one ``%`` template for its length."""
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
         inner = newline + "  "
-        if all(type(x) is int for x in obj):
+        kinds = set(map(type, obj))
+        if kinds == {int}:
             items = map(int.__repr__, obj)
-        elif (set(map(type, obj)) == {list} and all(obj)
-              and set(map(type, chain.from_iterable(obj))) == {int}):
-            sep = "," + inner + "  "
-            items = ["[" + inner + "  " + sep.join(map(int.__repr__, x)) + inner + "]"
-                     for x in obj]
+        elif kinds == {tuple} and set(map(type, chain.from_iterable(obj))) <= {int}:
+            item = "," + inner + "  %d"
+            templates = {n: "[" + item[1:] + item * (n - 1) + inner + "]" if n else "[]"
+                         for n in set(map(len, obj))}
+            items = [templates[len(x)] % x for x in obj]
         else:
             items = [_json_text(x, inner) for x in obj]
         return "[" + inner + ("," + inner).join(items) + newline + "]"
@@ -143,11 +162,10 @@ def _json_text(obj, newline: str = "\n") -> str:
         if not obj:
             return "{}"
         inner = newline + "  "
-        items = [encode_basestring_ascii(key) + ": " + _json_text(obj[key], inner)
-                 for key in sorted(obj)]
+        items = [_quoted(key) + ": " + _json_text(obj[key], inner) for key in sorted(obj)]
         return "{" + inner + ("," + inner).join(items) + newline + "}"
     if isinstance(obj, str):
-        return encode_basestring_ascii(obj)
+        return _quoted(obj)
     if obj is None:
         return "null"
     if obj is True:
@@ -179,11 +197,11 @@ def cmd_check(args, net: PhyloNetwork) -> Answer:
 
     based, cert = is_tree_based(net)
     if based:
-        certificate = {"kind": "base_tree", "edges": [list(e) for e in cert.tree.edges]}
+        certificate = {"kind": "base_tree", "edges": cert.tree.edges}
         human = ["tree-based: yes", f"base tree edges: {len(cert.tree.edges)}"]
     else:
-        certificate = {"kind": "rr_path", "rr_path": list(cert.rr_path),
-                       "u1": list(cert.u1), "u2": list(cert.u2)}
+        certificate = {"kind": "rr_path", "rr_path": cert.rr_path,
+                       "u1": cert.u1, "u2": cert.u2}
         human = ["tree-based: no",
                  f"blocking reticulation path: {list(cert.rr_path)}",
                  f"U1: {list(cert.u1)}  U2: {list(cert.u2)}"]
@@ -205,8 +223,7 @@ def cmd_paths(args, net: PhyloNetwork) -> Answer:
     from .treebased import vertex_disjoint_paths
 
     partition = vertex_disjoint_paths(net)
-    payload = {"count": partition.size,
-               "paths": [list(p) for p in partition.paths]}
+    payload = {"count": partition.size, "paths": partition.paths}
     human = [f"paths: {partition.size}"] + [
         "  " + " -> ".join(map(str, p)) for p in partition.paths]
     _dot(args, net, paths=partition)
@@ -220,9 +237,9 @@ def cmd_spanning_tree(args, net: PhyloNetwork) -> Answer:
     outside = tree.unlabeled_leaves(net)
     payload = {
         "root": tree.root,
-        "edges": [list(e) for e in tree.edges],
-        "leaves": list(tree.leaves),
-        "unlabeled_leaves": list(outside),
+        "edges": tree.edges,
+        "leaves": tree.leaves,
+        "unlabeled_leaves": outside,
         "unlabeled_leaf_count": len(outside),
     }
     human = [f"spanning tree with {len(tree.edges)} edges, "
@@ -240,8 +257,8 @@ def cmd_complete(args, net: PhyloNetwork) -> Answer:
     text = serialize_enewick(result.network)
     payload = {
         "attachments": len(result.attached_edges),
-        "attached_edges": [list(e) for e in result.attached_edges],
-        "new_labels": list(result.labels),
+        "attached_edges": result.attached_edges,
+        "new_labels": result.labels,
         "network": text,
     }
     if args.out is not None:
@@ -281,9 +298,8 @@ def cmd_antichain(args, net: PhyloNetwork) -> Answer:
 
     if args.max:
         antichain, chains = max_antichain(net)
-        payload = {"mode": "max", "antichain": list(antichain),
-                   "size": len(antichain),
-                   "chain_cover": [list(c) for c in chains]}
+        payload = {"mode": "max", "antichain": antichain, "size": len(antichain),
+                   "chain_cover": chains}
         return payload, [f"maximum antichain (size {len(antichain)}): {list(antichain)}"], 0
     if args.set is not None:
         members = _resolve_vertices(net, args.set)
@@ -291,9 +307,8 @@ def cmd_antichain(args, net: PhyloNetwork) -> Answer:
             routed, witness = antichain_to_leaf(net, members)
         except ValueError:
             raise CliError(f"{list(members)} is not an antichain") from None
-        payload = {"mode": "set", "set": list(members),
-                   "routes_to_leaves": routed,
-                   "paths": [list(p) for p in witness.paths] if witness else None}
+        payload = {"mode": "set", "set": members, "routes_to_leaves": routed,
+                   "paths": witness.paths if witness else None}
         human = [f"disjoint paths to leaves: {'yes' if routed else 'no'}"]
         if witness:
             human += ["  " + " -> ".join(map(str, p)) for p in witness.paths]
@@ -316,13 +331,13 @@ def cmd_temporal(args, net: PhyloNetwork) -> Answer:
 
     temporal, tmap = is_temporal(net)
     payload = {"temporal": temporal,
-               "ranks": list(tmap.ranks) if tmap else None,
+               "ranks": tmap.ranks if tmap else None,
                "violating_antichain": None}
     human = [f"temporal: {'yes' if temporal else 'no'}"]
     fences = zigzag_trails(net)[2] if temporal else ()
     if fences:
         violating = _violating_antichain(net, fences[0])
-        payload["violating_antichain"] = list(violating)
+        payload["violating_antichain"] = violating
         human.append(f"not tree-based; antichain with no disjoint leaf routing: "
                      f"{list(violating)}")
     return payload, human, 0 if temporal else 1
@@ -456,11 +471,13 @@ def main(argv=None) -> int:
             digest = hashlib.sha256(payload["network"].encode()).hexdigest()
         if args.json:
             elapsed_ms = round((time.perf_counter() - started) * 1000.0, 3)
-            print(_json_text({"tool": "tbnet", "version": __version__, "command": args.command,
-                              "input_sha256": digest, "elapsed_ms": elapsed_ms,
-                              "payload": payload}))
+            text = _json_text({"tool": "tbnet", "version": __version__, "command": args.command,
+                               "input_sha256": digest, "elapsed_ms": elapsed_ms,
+                               "payload": payload})
         else:
-            print(*human, sep="\n")
+            text = "\n".join(human)
+        # one write: with PYTHONUNBUFFERED set, each write is a system call
+        sys.stdout.write(text + "\n")
         sys.stdout.flush()
         return code
     except (CliError, ParseError, InvalidNetworkError) as exc:
@@ -482,5 +499,17 @@ def main(argv=None) -> int:
             gc.enable()
 
 
+def process_main() -> NoReturn:
+    """The process entry point, of ``python -m tbnet.cli`` and of the
+    ``tbnet`` script: exit with the code of :func:`main`.  Whichever way
+    ``main`` ends, the heap is frozen first, so the collections the
+    interpreter runs at shutdown skip objects it is about to free anyway.
+    ``main`` never freezes: library callers and tests run it in process."""
+    try:
+        sys.exit(main())
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    process_main()

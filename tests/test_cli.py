@@ -2,6 +2,7 @@
 
 import functools
 import gc
+import importlib
 import io
 import json
 import sys
@@ -13,7 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from tbnet import PhyloNetwork, is_temporal, is_tree_based, parse_enewick, parse_edgelist
 from tbnet import treebased
-from tbnet.cli import _json_text, main
+from tbnet.cli import _json_text, main, process_main
 from tbnet.treebased import zigzag_trails
 
 from conftest import FIXTURES, run_python
@@ -97,10 +98,10 @@ def test_internal_error_is_exit_3_not_a_no():
 
 
 @pytest.mark.parametrize("enabled", [True, False])
-@pytest.mark.parametrize("outcome", [0, 2, 3])
+@pytest.mark.parametrize("outcome", [0, 1, 2, 3])
 def test_main_leaves_the_collector_as_it_found_it(capsys, monkeypatch, enabled, outcome):
     # the collector is off while the query runs, and the caller's setting
-    # comes back on every exit
+    # comes back on every exit; only the process entry point freezes the heap
     during = []
 
     def spy(net):
@@ -110,12 +111,14 @@ def test_main_leaves_the_collector_as_it_found_it(capsys, monkeypatch, enabled, 
         return is_tree_based(net)
 
     monkeypatch.setattr(treebased, "is_tree_based", spy)
-    path = fixture_path("diamond.edges") if outcome != 2 else "/no/such/file.nwk"
+    path = {1: fixture_path("deviation_one.edges"),
+            2: "/no/such/file.nwk"}.get(outcome, fixture_path("diamond.edges"))
     was = gc.isenabled()
     (gc.enable if enabled else gc.disable)()
     try:
         code, _, _ = run(capsys, "check", path)
         assert gc.isenabled() is enabled
+        assert gc.get_freeze_count() == 0
     finally:
         (gc.enable if was else gc.disable)()
     assert code == outcome
@@ -196,6 +199,12 @@ json_values = st.recursive(
 @given(json_values)
 @example({"f": [float("inf"), float("-inf"), float("nan"), -0.0, 1e300], "b": [True, 1]})
 @example({"edges": [[0, 1], [0, 2], [2, 3]], "paths": [[4, 1, 7], [5]], "mixed": [[1, 2], []]})
+@example(((0, 1), (0, 2), (2, 3)))
+@example(((4, 1, 7), (5,), (2, 3), (6, 8, 9, 10)))
+@example(((0, 1), (), (2, 3)))
+@example([[0, 1], [], (2, 3)])
+@example(["", " ", '"', "\\", "\x1f", "\x7f", "\u00e9"])
+@example({"": 0, " ": 1, '"': 2, "\\": 3, "\x1f": 4, "\x7f": 5, "\u00e9": 6})
 def test_json_text_matches_json_dumps(value):
     assert _json_text(value) == json.dumps(value, indent=2, sort_keys=True)
 
@@ -420,11 +429,12 @@ def test_a_stdout_path_without_json_writes_ahead_of_the_answer(capsys):
     assert out.endswith("}\ntree-based: yes\nbase tree edges: 6\n")
 
 
+# Runs ``python <argv>`` with its stdout a pipe whose reader is closed.
 CLOSED_STDOUT = (
     "import os, subprocess, sys\n"
     "read, write = os.pipe()\n"
     "os.close(read)\n"
-    "proc = subprocess.run([sys.executable, '-m', 'tbnet.cli', *sys.argv[1:]],\n"
+    "proc = subprocess.run([sys.executable, *sys.argv[1:]],\n"
     "                      stdout=write, stderr=subprocess.PIPE)\n"
     "print(proc.returncode)\n"
     "print(proc.stderr.decode(), end='')\n"
@@ -433,7 +443,8 @@ CLOSED_STDOUT = (
 
 @pytest.mark.parametrize("flags", [(), ("--json",)], ids=["human", "json"])
 def test_a_closed_stdout_is_an_error_not_a_crash(flags):
-    proc = run_python("-c", CLOSED_STDOUT, "paths", fixture_path("killer.nwk"), *flags)
+    proc = run_python("-c", CLOSED_STDOUT, "-m", "tbnet.cli", "paths",
+                      fixture_path("killer.nwk"), *flags)
     code, err = proc.stdout.decode().split("\n", 1)
     assert code == "2"
     assert err == "error: stdout was closed before the answer was written\n"
@@ -527,3 +538,31 @@ def test_dot_paths_overlay(capsys, tmp_path):
                      "--dot", str(dot_file))
     assert code == 0
     assert "color=" in dot_file.read_text()
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", "diamond.nwk"),
+    ("check", "deviation_one.edges"),
+    ("check", "no_such_file.nwk"),
+], ids=["yes", "no", "input error"])
+def test_the_process_entry_point_answers_as_main(capsys, argv):
+    argv = (argv[0], fixture_path(argv[1]))
+    proc = run_python("-m", "tbnet.cli", *argv)
+    assert (proc.returncode, proc.stdout.decode(), proc.stderr.decode()) == run(capsys, *argv)
+
+
+def test_the_process_entry_point_answers_as_main_on_a_closed_stdout():
+    main_only = "import sys, tbnet.cli\nsys.exit(tbnet.cli.main(sys.argv[1:]))\n"
+    argv = ("paths", fixture_path("killer.nwk"))
+    via_main = run_python("-c", CLOSED_STDOUT, "-c", main_only, *argv)
+    via_entry = run_python("-c", CLOSED_STDOUT, "-m", "tbnet.cli", *argv)
+    assert via_entry.stdout == via_main.stdout == (
+        b"2\nerror: stdout was closed before the answer was written\n")
+
+
+def test_the_console_script_is_the_process_entry_point():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    with open(FIXTURES.parents[1] / "pyproject.toml", "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["tbnet"]
+    module, _, name = target.partition(":")
+    assert getattr(importlib.import_module(module), name) is process_main
