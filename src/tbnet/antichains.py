@@ -18,7 +18,6 @@ holds descendant bitmasks.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Iterable, NamedTuple
 
 from .network import PhyloNetwork
@@ -189,7 +188,8 @@ def antichain_to_leaf(net: PhyloNetwork, antichain: Iterable[int]):
     instance; the answer is True iff the flow value equals the antichain
     size, in which case the witness paths are read off the flow.  Each
     unit is found by a breadth-first search of the split DAG's residual,
-    O(k (n + m)) for k members.
+    O(k (n + m)) for k members.  The search tries children in ascending
+    id, so the paths depend on the network alone, not on its arc order.
 
     Raises ValueError if the input is not an antichain.
     """
@@ -198,7 +198,6 @@ def antichain_to_leaf(net: PhyloNetwork, antichain: Iterable[int]):
         raise ValueError("input vertex set is not an antichain")
     n = net.num_vertices
     children = net.children
-    last = dict(net.edges)  # each vertex's child on its last arc: searched first
     source, sink = 2 * n, 2 * n + 1
     # The flow: v's unit comes from prv[v] and goes to nxt[v], where n
     # stands for s and t, and -1 for no unit.
@@ -215,8 +214,6 @@ def antichain_to_leaf(net: PhyloNetwork, antichain: Iterable[int]):
                 if not kids and w != n:
                     label[sink] = x
                     break
-                if len(kids) == 2 and kids[1] == last[v]:
-                    kids = kids[::-1]
                 ys = [2 * c for c in kids if c != w] + [x - 1] * (w != -1)
             else:
                 u = prv[v]
@@ -293,15 +290,14 @@ def _bits(mask: int):
         mask ^= low
 
 
-def has_antichain_to_leaf_property(net: PhyloNetwork, mode: str = "exhaustive",
-                                   max_vertices: int = DEFAULT_EXHAUSTIVE_BOUND) -> bool:
+def has_antichain_to_leaf_property(net: PhyloNetwork, mode: str = "exhaustive") -> bool:
     """Decide whether every antichain reaches leaves disjointly.
 
     ``exhaustive`` checks every *maximal* antichain, which suffices: if
     A is contained in a maximal antichain B and B has |B| disjoint paths,
     restricting that family to the paths starting in A witnesses A.  The
-    mode refuses networks larger than ``max_vertices`` (no polynomial
-    algorithm is claimed for the general property).
+    mode refuses networks larger than ``DEFAULT_EXHAUSTIVE_BOUND`` vertices
+    (no polynomial algorithm is claimed for the general property).
 
     ``temporal-shortcut`` requires a temporal network and uses the
     equivalence with tree-basedness there.
@@ -312,8 +308,8 @@ def has_antichain_to_leaf_property(net: PhyloNetwork, mode: str = "exhaustive",
         return deviation_indices(net).p == 0
     if mode != "exhaustive":
         raise ValueError(f"unknown mode {mode!r}")
-    if net.num_vertices > max_vertices:
-        raise ValueError(f"exhaustive antichain check limited to {max_vertices} vertices "
+    if net.num_vertices > DEFAULT_EXHAUSTIVE_BOUND:
+        raise ValueError(f"exhaustive antichain check limited to {DEFAULT_EXHAUSTIVE_BOUND} vertices "
                          f"(got {net.num_vertices})")
     return all(antichain_to_leaf(net, antichain)[0] for antichain in maximal_antichains(net))
 
@@ -326,13 +322,14 @@ class TemporalMap(NamedTuple):
 
 
 def verify_temporal_map(net: PhyloNetwork, tm: TemporalMap) -> None:
-    retic = set(net.reticulations)
-    for u, v in net.edges:
-        if v in retic:
-            if tm.ranks[u] != tm.ranks[v]:
-                raise ValueError(f"reticulation edge ({u},{v}) not level")
-        elif tm.ranks[u] >= tm.ranks[v]:
-            raise ValueError(f"tree edge ({u},{v}) not increasing")
+    ranks, in_degree = tm.ranks, net.in_degree
+    for v, us in enumerate(net.parents):
+        for u in us:
+            if in_degree[v] == 2:
+                if ranks[u] != ranks[v]:
+                    raise ValueError(f"reticulation edge ({u},{v}) not level")
+            elif ranks[u] >= ranks[v]:
+                raise ValueError(f"tree edge ({u},{v}) not increasing")
 
 
 def is_temporal(net: PhyloNetwork) -> tuple[bool, TemporalMap | None]:
@@ -343,7 +340,7 @@ def is_temporal(net: PhyloNetwork) -> tuple[bool, TemporalMap | None]:
     edge joins a group to itself and the tree-edge relation between groups
     is acyclic; the map assigned is the longest-path level of each group.
     """
-    n = net.num_vertices
+    n, parents, in_degree = net.num_vertices, net.parents, net.in_degree
     group = list(range(n))
 
     def find(v: int) -> int:
@@ -352,43 +349,37 @@ def is_temporal(net: PhyloNetwork) -> tuple[bool, TemporalMap | None]:
             v = group[v]
         return v
 
-    retic = set(net.reticulations)
-    tree_edges = []
-    for u, v in net.edges:
-        if v in retic:
+    for v in net.reticulations:
+        for u in parents[v]:
             ru, rv = find(u), find(v)
             if ru != rv:
                 group[ru] = rv
-        else:
-            tree_edges.append((u, v))
+    root = [find(v) for v in range(n)]
+    # The tree edges between groups, indexed by group root, with repeats.
+    succ = [[] for _ in range(n)]
+    indeg = [0] * n
+    for v in range(n):
+        if in_degree[v] == 1:
+            g, h = root[parents[v][0]], root[v]
+            if g == h:
+                return False, None
+            succ[g].append(h)
+            indeg[h] += 1
 
-    succ: dict[int, set[int]] = {}
-    indeg: dict[int, int] = {find(v): 0 for v in range(n)}
-    for u, v in tree_edges:
-        gu, gv = find(u), find(v)
-        if gu == gv:
-            return False, None
-        bucket = succ.setdefault(gu, set())
-        if gv not in bucket:
-            bucket.add(gv)
-            indeg[gv] += 1
-
-    level = {g: 0 for g in indeg}
-    queue = deque(sorted(g for g, d in indeg.items() if d == 0))
-    done = 0
-    while queue:
-        g = queue.popleft()
-        done += 1
-        for h in succ.get(g, ()):
-            if level[g] + 1 > level[h]:
+    level = [0] * n
+    stack = [g for g in range(n) if root[g] == g and not indeg[g]]
+    while stack:  # Kahn's algorithm: a group is popped after its predecessors
+        g = stack.pop()
+        for h in succ[g]:
+            if level[h] <= level[g]:
                 level[h] = level[g] + 1
             indeg[h] -= 1
-            if indeg[h] == 0:
-                queue.append(h)
-    if done != len(indeg):
+            if not indeg[h]:
+                stack.append(h)
+    if any(indeg):  # a group on or below a cycle was never popped
         return False, None
 
-    tm = TemporalMap(tuple(level[find(v)] for v in range(n)))
+    tm = TemporalMap(tuple([level[g] for g in root]))
     verify_temporal_map(net, tm)
     return True, tm
 

@@ -32,6 +32,8 @@ _MASK64 = (1 << 64) - 1
 # size the roadmap measures (10^6).  Generation peaks near 0.7 KB per vertex
 # (87 MB RSS at 10^5 on Python 3.11), so this is about 1.5 GB.
 MAX_VERTICES = 2_000_000
+# How many seeds ``generate`` tries for a temporal network before it gives up.
+TEMPORAL_ATTEMPTS = 400
 
 
 class SplitMix64:
@@ -168,14 +170,15 @@ def _build(rng: SplitMix64, num_leaves: int, num_reticulations: int) -> PhyloNet
     return PhyloNetwork(b.edges, labels, n)
 
 
-def generate(spec: GenSpec, attempts: int = 400) -> PhyloNetwork:
+def generate(spec: GenSpec) -> PhyloNetwork:
     """Generate the network described by ``spec``; deterministic per spec.
 
     Raises GenerationError for the one infeasible shape (one leaf with
     exactly one reticulation: the reticulation cannot reach in-degree 2
     without a parallel edge), for a shape with more than ``MAX_VERTICES``
-    vertices, and when ``temporal_only`` exhausts its attempt budget.  One
-    leaf with zero reticulations yields the singleton network.
+    vertices, and when ``temporal_only`` finds no temporal network in
+    ``TEMPORAL_ATTEMPTS`` seeds.  One leaf with zero reticulations yields
+    the singleton network.
     """
     if spec.num_leaves < 1:
         raise GenerationError("need at least one leaf")
@@ -196,7 +199,7 @@ def generate(spec: GenSpec, attempts: int = 400) -> PhyloNetwork:
     if spec.temporal_only:
         from .antichains import is_temporal
 
-    for attempt in range(max(1, attempts) if spec.temporal_only else 1):
+    for attempt in range(TEMPORAL_ATTEMPTS if spec.temporal_only else 1):
         stream_seed = (spec.seed ^ (attempt * 0xA5A5B5B5C5C5D5D5)) & _MASK64
         net = _build(SplitMix64(stream_seed), spec.num_leaves, spec.num_reticulations)
         if net.num_vertices != expected:
@@ -204,5 +207,5 @@ def generate(spec: GenSpec, attempts: int = 400) -> PhyloNetwork:
         if not spec.temporal_only or is_temporal(net)[0]:
             return net
     raise GenerationError(
-        f"no temporal network found for {spec} within {attempts} attempts"
+        f"no temporal network found for {spec} within {TEMPORAL_ATTEMPTS} attempts"
     )

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from tbnet import (
@@ -14,8 +16,10 @@ from tbnet import (
     max_antichain,
     max_matching,
     maximal_antichains,
+    rooted_spanning_tree,
     temporal_violating_antichain,
     verify_temporal_map,
+    vertex_disjoint_paths,
 )
 from tbnet.oracles import (
     _iter_antichains,
@@ -165,7 +169,7 @@ def test_property_mode_errors(killer):
         has_antichain_to_leaf_property(killer, mode="temporal-shortcut")
     big = generate(GenSpec(12, 4, seed=0))
     with pytest.raises(ValueError):
-        has_antichain_to_leaf_property(big, max_vertices=18)
+        has_antichain_to_leaf_property(big)
 
 
 def test_tree_based_implies_property():
@@ -211,6 +215,37 @@ def test_nested_reticulation_parent_not_temporal():
         7,
     )
     assert not is_temporal(net)[0]
+
+
+@pytest.mark.parametrize("leaves, retics, seed, want", [
+    (500, 30, 1, "0789c90ac7e642f97a2d85018fc93bc72e359532c162edec93cc7daf39eab243"),
+    (500, 30, 2, "b44400bc4dd37424d01eb19651aa96d1c2fd003aca1587612852e21c3baace05"),
+    (1000, 40, 1, "a01996e7653cb8a655aa19b49bcbc3837450c31aaa06f462ea82b1d6d469dbfd"),
+    (1000, 40, 3, "79ac94d4ae1a2682db65673ececda6ec16841f1d2a6956bc9302c86d0cc20932"),
+    (2000, 50, 1, "da438daacac36711ce79184aee587653818b8a1e1bc1a5ddbfda09516d2477a6"),
+])
+def test_temporal_ranks_are_pinned(leaves, retics, seed, want):
+    # the longest-path levels of the contracted DAG are unique: 1059 to 4099
+    # vertices, beyond what the oracle comparison reaches
+    ok, tmap = is_temporal(generate(GenSpec(leaves, retics, seed, temporal_only=True)))
+    assert ok and hashlib.sha256(repr(tmap.ranks).encode()).hexdigest() == want
+
+
+def test_answers_ignore_arc_order():
+    # the same network built from its arc list reversed: same ids and labels,
+    # so every answer and certificate must be the same
+    checked = 0
+    for net in corpus(400, max_leaves=6, max_retics=4, seed_base=91_000):
+        if net.num_vertices > 18:
+            continue
+        rev = PhyloNetwork(tuple(reversed(net.edges)), net.leaf_labels, net.num_vertices)
+        for antichain in maximal_antichains(net):
+            assert antichain_to_leaf(rev, antichain) == antichain_to_leaf(net, antichain)
+            checked += 1
+        for query in (is_temporal, max_antichain, is_tree_based, vertex_disjoint_paths,
+                      rooted_spanning_tree):
+            assert query(rev) == query(net), query.__name__
+    assert checked > 4000
 
 
 def test_temporal_matches_oracle():

@@ -29,7 +29,7 @@ PINS = {
     "temporal": "6987503ddd67978dd97b5b4da4f5095eaa86c8cf952255269f04e485b3702276",
     "complete": "2a8f032d059884428ead933011a561f4089b5bca1c415e7e954df617020a5831",
     "antichain --max": "cd4a92ad4ab61e72add72f68e9ceea971166c173761e9238fed2e16e6f5df8e2",
-    "antichain --set 0": "ac7336e85cb970ac3276e84485011d59da57253475989e5a0826e73463a360b9",
+    "antichain --set 0": "984388d5df36bdfa8a4ac7b8033ca3629e8706bd84543290b789c24aaf9b831b",
     "antichain --set 0,1": "410188ee2578438815b25e77c5060606e910ff4f84d09b97b20fa2dbaa0d193b",
     "antichain --check-property": "1562ab974ea5efdd1a96bbc95fd037bad665792100fe7c5a6c91fe61b349b8f8",
     "check --dot out.dot": "d2fedc53f8ce05ccd79df2fe63f1c53ce1a43879c15135c1722db9e65e1f7025",

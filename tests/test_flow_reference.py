@@ -3,11 +3,12 @@ replaced, kept here as the reference.
 
 The reference builds the split DAG as four parallel arc lists (node 2v is
 v's in-copy, 2v + 1 its out-copy) and augments along breadth-first paths.
-``antichain_to_leaf`` must give the same answer and the same paths, since
-it searches the same residual in the same order.  ``max_antichain`` runs
-Dinic phases instead, which may end at a different minimum flow: the
-antichain (t's reach in the final residual) is the same for all of them,
-the chain cover need only be a valid one.
+Each vertex's out-arcs are added in descending child id, so they are
+scanned in ascending id.  ``antichain_to_leaf`` must give the same answer
+and the same paths, since it searches the same residual in the same order.
+``max_antichain`` runs Dinic phases instead, which may end at a different
+minimum flow: the antichain (t's reach in the final residual) is the same
+for all of them, the chain cover need only be a valid one.
 """
 
 import random
@@ -82,8 +83,9 @@ def reference_antichain_to_leaf(net, members):
     flow = _ArcListFlow(2 * n + 2)
     for v in range(n):
         flow.add(2 * v, 2 * v + 1, 1)
-    for u, v in net.edges:
-        flow.add(2 * u + 1, 2 * v, 1)
+    for u in range(n):
+        for v in reversed(net.children[u]):
+            flow.add(2 * u + 1, 2 * v, 1)
     for v in members:
         flow.add(source, 2 * v, 1)
     for x in net.leaves:

@@ -95,3 +95,13 @@ def test_every_traced_name_resolves():
     for attr in tables["METHODS"]:
         assert callable(PhyloNetwork.__dict__.get(attr)), attr
     assert {"antichain_to_leaf", "max_antichain"} <= set(tables["WRAPPED"]["tbnet.antichains"])
+
+
+def test_antichain_answers_read_no_arc_list():
+    # the antichain queries read the adjacency construction built; an answer
+    # read off the arc list would depend on the order of the input's lines
+    with open(importlib.import_module("tbnet.antichains").__file__) as source:
+        tree = ast.parse(source.read())
+    reads = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "edges"]
+    assert not reads, f"antichains.py reads .edges on lines {reads}"
