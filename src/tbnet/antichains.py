@@ -323,6 +323,8 @@ class TemporalMap(NamedTuple):
 
 def verify_temporal_map(net: PhyloNetwork, tm: TemporalMap) -> None:
     ranks, in_degree = tm.ranks, net.in_degree
+    if len(ranks) != net.num_vertices:
+        raise ValueError(f"{len(ranks)} ranks for {net.num_vertices} vertices")
     for v, us in enumerate(net.parents):
         for u in us:
             if in_degree[v] == 2:

@@ -21,26 +21,31 @@ Each answer function imports the modules it runs, so a query loads only
 its own layers: ``check``, ``indices``, ``paths``, ``spanning-tree`` and
 ``complete`` load ``network``, the reader and ``treebased``;
 ``antichains``, ``generate`` and ``dot`` load only where they are used.
-No subcommand loads ``matching``, the reference route, ``dataclasses`` or
-``json``.  :func:`main` turns the cyclic garbage collector off while a
-query runs, since a query's structures hold no reference cycles, and
-restores the caller's setting on return.  :func:`process_main`, the one
-entry point of ``python -m tbnet.cli`` and the ``tbnet`` script, runs
-``main`` and then freezes the heap, so the interpreter's shutdown
-collections do not scan what is about to be freed; ``main`` itself never
-freezes.
+No subcommand loads ``matching``, the reference route, ``dataclasses``,
+``json`` or ``hashlib``; the input digest comes from the builtin
+``_sha256``.  :func:`main` builds the parser of the subcommand it runs
+and no other, and turns the cyclic garbage collector off while a query
+runs, since a query's structures hold no reference cycles, and restores
+the caller's setting on return.  :func:`process_main`, the one entry
+point of ``python -m tbnet.cli`` and the ``tbnet`` script, runs ``main``
+and then freezes the heap, so the interpreter's shutdown collections do
+not scan what is about to be freed; ``main`` itself never freezes.
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
-import hashlib
 import os
 import sys
 import time
 from itertools import chain
 from typing import NoReturn
+
+try:  # the builtin module; hashlib would also load OpenSSL
+    from _sha256 import sha256
+except ImportError:
+    from hashlib import sha256
 
 from . import __version__
 from .enewick import ParseError, parse_enewick, serialize_enewick
@@ -78,7 +83,7 @@ def _read_input(path: str) -> tuple[str, str]:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
         # stdin may decode bad bytes to surrogates, which fail to encode
-        return text, hashlib.sha256(text.encode()).hexdigest()
+        return text, sha256(text.encode()).hexdigest()
     except UnicodeError as exc:
         raise CliError(f"input is not UTF-8 text: {'stdin' if path == '-' else path}") from exc
     except OSError as exc:
@@ -391,69 +396,79 @@ def cmd_bench(args, net: PhyloNetwork) -> Answer:
     return payload, human, 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
+# Every subcommand, in the order ``tbnet --help`` lists them: its answer
+# function and its help line.  Its options are added in _build_parser.
+SUBCOMMANDS = {
+    "check": (cmd_check, "decide tree-based and emit a certificate"),
+    "indices": (cmd_indices, "deviation indices l, p, t and friends"),
+    "paths": (cmd_paths, "minimum vertex-disjoint path partition"),
+    "spanning-tree": (cmd_spanning_tree,
+                      "rooted spanning tree minimising leaves outside the label set"),
+    "complete": (cmd_complete, "attach leaves to make the network tree-based"),
+    "antichain": (cmd_antichain, "antichain queries"),
+    "temporal": (cmd_temporal, "decide temporality, emit ranks"),
+    "gen": (cmd_gen, "generate a seeded random network"),
+    "bench": (cmd_bench, "time the index pipeline on a generated network"),
+}
+
+
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of ``tbnet``, with the parser of ``command`` only when it
+    names a subcommand, else with all of them."""
     parser = argparse.ArgumentParser(
         prog="tbnet",
         description="Tree-based analysis of rooted binary phylogenetic networks.")
     parser.add_argument("--version", action="version", version=f"tbnet {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def io_command(name: str, func, help_: str, dot: bool = False, out: bool = False):
+    for name, (func, help_) in SUBCOMMANDS.items():
+        if command in SUBCOMMANDS and name != command:
+            continue
         sp = sub.add_parser(name, help=help_)
+        sp.set_defaults(func=func)
+        if name in ("gen", "bench"):
+            sp.add_argument("--leaves", type=int, required=True)
+            sp.add_argument("--retics", type=int, required=True)
+            sp.add_argument("--seed", type=int, default=0)
+            # _generate reads --temporal and --repeat: each command fixes
+            # the one it does not take
+            if name == "gen":
+                sp.add_argument("--temporal", action="store_true",
+                                help="rejection-sample until temporal")
+                sp.add_argument("--out", metavar="PATH", help="write here instead of stdout")
+                sp.set_defaults(repeat=1)
+            else:
+                sp.add_argument("--repeat", type=int, default=3)
+                sp.set_defaults(temporal=False)
+            sp.add_argument("--json", action="store_true")
+            continue
         sp.add_argument("input", help="input file, or - for stdin")
         sp.add_argument("--format", choices=("enewick", "edgelist"),
                         help="input format (default: by file extension)")
         sp.add_argument("--json", action="store_true", help="JSON report envelope")
-        if dot:
+        if name in ("check", "paths", "spanning-tree", "complete"):
             sp.add_argument("--dot", metavar="PATH", help="write a DOT rendering")
-        if out:
+        if name == "complete":
             sp.add_argument("--out", metavar="PATH", help="write the result network")
-        sp.set_defaults(func=func)
-        return sp
-
-    io_command("check", cmd_check, "decide tree-based and emit a certificate", dot=True)
-    io_command("indices", cmd_indices, "deviation indices l, p, t and friends")
-    io_command("paths", cmd_paths, "minimum vertex-disjoint path partition", dot=True)
-    io_command("spanning-tree", cmd_spanning_tree,
-               "rooted spanning tree minimising leaves outside the label set", dot=True)
-    io_command("complete", cmd_complete,
-               "attach leaves to make the network tree-based", dot=True, out=True)
-
-    anti = io_command("antichain", cmd_antichain, "antichain queries")
-    group = anti.add_mutually_exclusive_group(required=True)
-    group.add_argument("--max", action="store_true", help="maximum antichain")
-    group.add_argument("--set", metavar="V1,V2,...",
-                       help="route the given antichain to leaves disjointly")
-    group.add_argument("--check-property", action="store_true",
-                       help="decide the antichain-to-leaf property")
-
-    io_command("temporal", cmd_temporal, "decide temporality, emit ranks")
-
-    gen = sub.add_parser("gen", help="generate a seeded random network")
-    gen.add_argument("--leaves", type=int, required=True)
-    gen.add_argument("--retics", type=int, required=True)
-    gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--temporal", action="store_true",
-                     help="rejection-sample until temporal")
-    gen.add_argument("--out", metavar="PATH", help="write here instead of stdout")
-    gen.add_argument("--json", action="store_true")
-    gen.set_defaults(func=cmd_gen, repeat=1)  # _generate reads both commands' options
-
-    bench = sub.add_parser("bench", help="time the index pipeline on a generated network")
-    bench.add_argument("--leaves", type=int, required=True)
-    bench.add_argument("--retics", type=int, required=True)
-    bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--repeat", type=int, default=3)
-    bench.add_argument("--json", action="store_true")
-    bench.set_defaults(func=cmd_bench, temporal=False)
-
+        if name == "antichain":
+            group = sp.add_mutually_exclusive_group(required=True)
+            group.add_argument("--max", action="store_true", help="maximum antichain")
+            group.add_argument("--set", metavar="V1,V2,...",
+                               help="route the given antichain to leaves disjointly")
+            group.add_argument("--check-property", action="store_true",
+                               help="decide the antichain-to-leaf property")
     return parser
 
 
 def main(argv=None) -> int:
     """Run one query: read and build the network (``gen`` and ``bench``
     generate it), answer, and print the envelope or the human lines."""
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # Only the named subcommand's parser is built.  Unrecognized arguments
+    # are reported by the top-level parser, whose usage lists every
+    # subcommand, so a full parser parses again to report them.
+    args, extra = _build_parser(argv[0] if argv else None).parse_known_args(argv)
+    if extra:
+        args = _build_parser().parse_args(argv)
     # A query builds up to one tuple or list of ints per vertex and arc but
     # no reference cycle, so reference counting frees all of it; the cyclic
     # collector would only rescan it.  The caller's setting is restored.
@@ -468,7 +483,7 @@ def main(argv=None) -> int:
         net, digest = (_load if "input" in args else _generate)(args)
         payload, human, code = args.func(args, net)
         if args.command == "gen":  # what gen answers about is the network it writes
-            digest = hashlib.sha256(payload["network"].encode()).hexdigest()
+            digest = sha256(payload["network"].encode()).hexdigest()
         if args.json:
             elapsed_ms = round((time.perf_counter() - started) * 1000.0, 3)
             text = _json_text({"tool": "tbnet", "version": __version__, "command": args.command,

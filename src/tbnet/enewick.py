@@ -33,8 +33,6 @@ from .network import LABEL_RE, PhyloNetwork
 # skips what matches none of them, so the reader checks that it skipped
 # only whitespace.
 _TOKEN_RE = re.compile(rf"[(),;]|#H\d+|{LABEL_RE.pattern}")
-# The same, plus any other non-space character, captured: a lexical error.
-_LEX_RE = re.compile(rf"{_TOKEN_RE.pattern}|(\S)")
 
 # What the reader holds between tokens: nothing, a leaf label, a finished
 # vertex id (a hybrid tag was read), or a group's children, unnamed or named.
@@ -54,7 +52,10 @@ class ParseError(ValueError):
 def _lexical_error(text: str) -> ParseError:
     """The error for the first non-space character that starts no token;
     the text must have one."""
-    m = next(m for m in _LEX_RE.finditer(text) if m.group(1))
+    # the tokens, plus any other non-space character, captured; compiled
+    # here, since only a rejected input needs it
+    lex = re.compile(rf"{_TOKEN_RE.pattern}|(\S)")
+    m = next(m for m in lex.finditer(text) if m.group(1))
     bad = m.group(1)
     if bad == ":":
         return ParseError("branch lengths are not supported", text, m.start())

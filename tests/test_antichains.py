@@ -6,6 +6,7 @@ from tbnet import (
     BipartiteGraph,
     GenSpec,
     PhyloNetwork,
+    TemporalMap,
     antichain_to_leaf,
     deviation_indices,
     generate,
@@ -203,6 +204,14 @@ def test_bad_temporal_map_rejected_under_optimisation():
     )
     proc = run_python("-O", "-c", script, str(FIXTURES / "diamond.edges"))
     assert proc.returncode == 3, proc.stderr
+
+
+def test_a_map_without_one_rank_per_vertex_is_rejected(diamond):
+    ok, tmap = is_temporal(diamond)
+    assert ok and diamond.num_vertices == 7
+    for ranks in ((0,), tmap.ranks + (0,)):  # short, and valid plus one rank
+        with pytest.raises(ValueError, match=f"^{len(ranks)} ranks for 7 vertices$"):
+            verify_temporal_map(diamond, TemporalMap(ranks))
 
 
 def test_nested_reticulation_parent_not_temporal():

@@ -4,6 +4,7 @@ Each case runs one query on the four fixtures in both formats, human and
 ``--json``, and hashes the transcript: the arguments, exit code, stdout,
 stderr and every file written.  ``elapsed_ms`` and ``bench``'s timings are
 the only fields left out.  A pin that moves means an output byte changed.
+The usage pins do the same for argparse's help, version and error text.
 """
 
 import hashlib
@@ -78,3 +79,41 @@ def test_query_output_is_pinned(capsys, monkeypatch, tmp_path, query):
 def test_generated_output_is_pinned(capsys, monkeypatch, tmp_path, argv):
     monkeypatch.chdir(tmp_path)
     assert digest(transcript(capsys, tmp_path, argv.split())) == GEN_PINS[argv]
+
+
+# What argparse prints at 80 columns: help, version and usage errors, from
+# the top-level parser and from a subcommand's.  FILE is diamond.edges.
+USAGE_PINS = {
+    "--help": "5ef4a506358c215342d66afdab6586d02ae3a4d112f3628fa7a41b6116fd93cb",
+    "--version": "52c1cf463d191285722d795ad5f315b9fbd0206a8615cc7e9084c814ef9d3020",
+    "check --help": "76fa52558e32a850f97c2c2ce8b3cc28db6778f90357bde6212146d362e7c2b7",
+    "indices --help": "b1a420432539c00c711136926a381df1e05a3d5c222d1259fe11a64564fbfc55",
+    "paths --help": "3defc2cf0faab6f13aaa38412c34349ea40ffface2505a2664a5f23a6b6600f2",
+    "spanning-tree --help": "a542bdbf0e8ccd2372ad11ac93bc7f4fa2129394197293b511f5bbdf10e336e0",
+    "complete --help": "a44da3008930cdecd39e9c1ebf42280921a936e476a95a964a7fe2bcb9be6621",
+    "antichain --help": "5890164c117d00ad2f7c1cada75850989c639e3aded39833f87416aa8d9fe955",
+    "temporal --help": "0139ff464c3f67f6601c5f39b229417250986f6aaad21b8e4bffaa4dc65934ff",
+    "gen --help": "ea5c127b94d0cf9e862d3b4c678dccb24deb03f407be551d74c95d13047756d5",
+    "bench --help": "6aa937e192c17c412ba636040fd499371bc5246047ae53a7fdda9d666e7b563f",
+    "": "f7208f48114b00f6e99e596030d20ed276407f9b5cd0ddc01c2cc12548fdfcf4",
+    "chek x": "2a2c5008f20cd96c1be5895c485859247d95a41384dc7e00a07b15303032892f",
+    "temporal FILE --dot x": "d2a669d1de2271c919ba4a6f4754bd14fc7968fc42bf6bbbaa0ecd8689d6705c",
+    "check FILE extra": "dec400420d2014cac059fe371855273366ab093324192c520faf2cd197f1dcd6",
+    "antichain FILE": "e703cd763ae50a13ce58c8eaa9a99f3365c854b45e4ebf2276e2f3844bb23f9d",
+    "antichain --max --set 1 FILE": "d7cc1ac68dde6e2df44f67e24fd2a20a3e685b0044c83fd2a349ed28f38e481e",
+    "gen --leaves 3": "7709268a7ddd4a3408129aa969f4415a0c11a9bcdb2be8d87bdd65da03cc34b6",
+    "check FILE --format xml": "062b80654d4e11a2398ec33cb98caa8979440d954962265a789f4ee47a3448c9",
+}
+
+
+@pytest.mark.parametrize("argv", USAGE_PINS, ids=lambda argv: argv or "(none)")
+def test_usage_text_is_pinned(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    try:
+        code = main([str(FIXTURES / "diamond.edges") if a == "FILE" else a
+                     for a in argv.split()])
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    text = "\n".join([str(code), captured.out, captured.err]).replace(str(FIXTURES), "FIXTURES")
+    assert digest(text) == USAGE_PINS[argv], text

@@ -1,13 +1,17 @@
 """What a query loads: the package resolves its names on first use, and each
-subcommand imports only the modules it runs."""
+subcommand imports only the modules it runs and builds only its own parser."""
 
+import argparse
 import ast
+import hashlib
 import importlib
+import json
 import types
 
 import pytest
 
 import tbnet
+from tbnet.cli import main
 from tbnet.network import PhyloNetwork
 
 from conftest import FIXTURES, run_python
@@ -23,9 +27,11 @@ LOADED = (
 )
 # Modules a query must not load: the tree-based queries, antichain --max,
 # and gen.  No query loads matching, the reference route, dataclasses,
-# which also loads inspect, ast, dis and tokenize, or json, whose escaping
-# encoder the envelope needs only for strings no query writes.
-NEVER = {"tbnet.matching", "fractions", "dataclasses", "json", "json.encoder"}
+# which also loads inspect, ast, dis and tokenize, json, whose escaping
+# encoder the envelope needs only for strings no query writes, or hashlib,
+# which loads OpenSSL for the one SHA-256 the builtin _sha256 gives.
+NEVER = {"tbnet.matching", "fractions", "dataclasses", "json", "json.encoder",
+         "hashlib", "_hashlib"}
 NOT_TREE_BASED = NEVER | {"tbnet.antichains", "tbnet.generate", "tbnet.dot"}
 NOT_ANTICHAIN = NOT_TREE_BASED - {"tbnet.antichains"}
 NOT_GEN = NEVER | {"tbnet.antichains", "tbnet.dot", "tbnet.treebased"}
@@ -57,6 +63,43 @@ def test_a_query_loads_only_its_own_modules(argv, bare_modules):
     loaded = set(proc.stderr.decode().split())
     assert "tbnet.network" in loaded
     assert not loaded & absent
+
+
+@pytest.mark.parametrize("argv, code, built", [
+    ("check diamond.nwk --json", 0, 1),
+    ("antichain --max killer.edges", 0, 1),
+    ("gen --leaves 5 --retics 2", 0, 1),
+    # help and the top-level usage errors list every subcommand
+    ("--help", 0, 9),
+    ("", 2, 9),
+    ("chek diamond.nwk", 2, 9),
+    # an unrecognized argument is reported by a full parser, after the first
+    ("check diamond.nwk extra", 2, 1 + 9),
+], ids=lambda x: str(x) or "(none)")
+def test_a_query_builds_only_its_own_parser(capsys, monkeypatch, argv, code, built):
+    calls = []
+    add_parser = argparse._SubParsersAction.add_parser
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser",
+                        lambda self, name, **kw: calls.append(name) or add_parser(self, name, **kw))
+    try:
+        returned = main([str(FIXTURES / a) if a.endswith((".nwk", ".edges")) else a
+                         for a in argv.split()])
+    except SystemExit as exc:
+        returned = exc.code
+    capsys.readouterr()
+    assert (returned, len(calls)) == (code, built), calls
+
+
+def test_the_digest_is_the_same_from_hashlib():
+    # an interpreter built without the builtin _sha256 hashes with hashlib
+    no_builtin = ("import sys\n"
+                  "sys.modules['_sha256'] = None\n"
+                  "import tbnet.cli\n"
+                  "sys.exit(tbnet.cli.main(sys.argv[1:]))\n")
+    argv = ("check", str(FIXTURES / "diamond.nwk"), "--json")
+    digests = {json.loads(proc.stdout)["input_sha256"]
+               for proc in (run_python("-c", no_builtin, *argv), run_python("-m", "tbnet.cli", *argv))}
+    assert digests == {hashlib.sha256((FIXTURES / "diamond.nwk").read_bytes()).hexdigest()}
 
 
 def test_importing_the_package_loads_no_submodule():
