@@ -14,8 +14,9 @@ or the human lines to stdout in one write.  An answer function
 ``cmd_*(args, net)`` holds only its library call and returns
 ``(payload, human_lines, exit_code)``, with the library's tuples in the
 payload as they are; every ``--dot`` is written by :func:`_dot`.
-:func:`_json_text` writes the envelope, each edge or path from one ``%``
-template, and loads ``json.encoder`` only for a string that needs escapes.
+:func:`_json_text` writes the envelope, each list of edges or paths with
+one ``%`` call, and loads ``json.encoder`` only for a string that needs
+escapes.
 
 Each answer function imports the modules it runs, so a query loads only
 its own layers: ``check``, ``indices``, ``paths``, ``spanning-tree`` and
@@ -145,24 +146,27 @@ def _json_text(obj, newline: str = "\n") -> str:
     dicts with str keys, lists, tuples, str, int, float, bool and None.
     ``newline`` is a newline plus the indent of the line ``obj`` is on.
     The json module writes indented output in pure Python, one call per
-    value; this joins each all-int list in one step, and fills each item of
-    a list of all-int tuples (edges, paths, as the library returns them)
-    into one ``%`` template for its length."""
+    value; this joins each all-int list in one step, and writes a list of
+    all-int tuples (edges, paths, as the library returns them) with one
+    ``%`` call: each item's template for its length, joined, filled with
+    every int of the list."""
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
         inner = newline + "  "
+        sep = "," + inner
         kinds = set(map(type, obj))
         if kinds == {int}:
-            items = map(int.__repr__, obj)
+            body = sep.join(map(int.__repr__, obj))
         elif kinds == {tuple} and set(map(type, chain.from_iterable(obj))) <= {int}:
-            item = "," + inner + "  %d"
+            item = sep + "  %d"
             templates = {n: "[" + item[1:] + item * (n - 1) + inner + "]" if n else "[]"
                          for n in set(map(len, obj))}
-            items = [templates[len(x)] % x for x in obj]
+            body = (sep.join(map(templates.__getitem__, map(len, obj)))
+                    % tuple(chain.from_iterable(obj)))
         else:
-            items = [_json_text(x, inner) for x in obj]
-        return "[" + inner + ("," + inner).join(items) + newline + "]"
+            body = sep.join([_json_text(x, inner) for x in obj])
+        return "[" + inner + body + newline + "]"
     if isinstance(obj, dict):
         if not obj:
             return "{}"

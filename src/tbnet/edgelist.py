@@ -10,32 +10,35 @@ the one-vertex network.
 from __future__ import annotations
 
 from .enewick import ParseError
-from .network import PhyloNetwork
+from .network import PhyloNetwork, _adjacency
 
 
 def parse_edgelist(text: str) -> PhyloNetwork:
+    """Parse one network; raises ParseError on a malformed line and
+    InvalidNetworkError when the digraph is not a valid network.  The line
+    loop collects the arcs; one loop over them then fills the child and
+    parent lists the network is built from, which is faster than filling
+    them inside the line loop."""
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [line.partition("#")[0] for line in lines]
     ids: dict[str, int] = {}
+    setdefault = ids.setdefault
     edges: list[tuple[int, int]] = []
-    offset = 0
-    for raw in text.splitlines(keepends=True):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            parts = line.split()
-            if len(parts) == 1:
-                ids.setdefault(parts[0], len(ids))
-            elif len(parts) == 2:
-                u = ids.setdefault(parts[0], len(ids))
-                v = ids.setdefault(parts[1], len(ids))
-                edges.append((u, v))
-            else:
-                raise ParseError("expected 'parent child'", text, offset)
-        offset += len(raw)
+    for k, parts in enumerate(map(str.split, lines)):
+        if len(parts) == 2:
+            u = setdefault(parts[0], len(ids))
+            edges.append((u, setdefault(parts[1], len(ids))))
+        elif len(parts) == 1:
+            setdefault(parts[0], len(ids))
+        elif parts:
+            offset = sum(map(len, text.splitlines(keepends=True)[:k]))
+            raise ParseError("expected 'parent child'", text, offset)
     if not ids:
         raise ParseError("empty input", text, 0)
-
-    is_parent = {u for u, _ in edges}
-    labels = {vid: tok for tok, vid in ids.items() if vid not in is_parent}
-    return PhyloNetwork(edges, labels, len(ids))
+    kids, pars = _adjacency(len(ids), edges)
+    labels = {vid: tok for tok, vid in ids.items() if not kids[vid]}
+    return PhyloNetwork.from_lists(kids, pars, edges, labels)
 
 
 def vertex_names(net: PhyloNetwork) -> list[str]:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import re
 
-from .network import LABEL_RE, PhyloNetwork
+from .network import LABEL_RE, PhyloNetwork, _adjacency
 
 # The tokens, one per match: punctuation, a hybrid tag or a label.  A scan
 # skips what matches none of them, so the reader checks that it skipped
@@ -164,7 +164,8 @@ def parse_enewick(text: str) -> PhyloNetwork:
                 f"hybrid tag {tag} appears {uses} time(s); a reticulation needs exactly 2")
         if tag not in hybrid_defined:
             raise _error_at(text, end, f"hybrid tag {tag} never given a subtree")
-    return PhyloNetwork(edges, labels, n)
+    kids, pars = _adjacency(n, edges)
+    return PhyloNetwork.from_lists(kids, pars, edges, labels)
 
 
 def serialize_enewick(net: PhyloNetwork) -> str:

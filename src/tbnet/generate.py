@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .network import PhyloNetwork
+from .network import PhyloNetwork, _adjacency
 
 _MASK64 = (1 << 64) - 1
 
@@ -157,17 +157,12 @@ def _build(rng: SplitMix64, num_leaves: int, num_reticulations: int) -> PhyloNet
             j += 1
         b.add_reticulation(i, j)
 
-    n = len(b.rank)
-    has_out = [False] * n
-    for u, _ in b.edges:
-        has_out[u] = True
+    kids, pars = _adjacency(len(b.rank), b.edges)
     labels = {}
-    counter = 0
-    for v in range(n):
-        if not has_out[v]:
-            counter += 1
-            labels[v] = f"x{counter}"
-    return PhyloNetwork(b.edges, labels, n)
+    for v, ws in enumerate(kids):
+        if not ws:
+            labels[v] = f"x{len(labels) + 1}"
+    return PhyloNetwork.from_lists(kids, pars, b.edges, labels)
 
 
 def generate(spec: GenSpec) -> PhyloNetwork:

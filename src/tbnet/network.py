@@ -6,20 +6,21 @@ vertices of in-degree 1 and out-degree 2, and reticulations of in-degree 2
 and out-degree 1.  A single labeled vertex (no edges) is allowed as the
 one-leaf degenerate case.
 
-Vertices are dense non-negative integers ``0..n-1``.  Construction builds
-the adjacency once and accepts a valid graph with a few whole-graph tests;
-only a rejected graph runs the full pass of :func:`validate`, which names
-every broken rule.  The topological order is computed on first use.  All
-structures are immutable after construction; editing operations return
-new objects, each rebuilt, so bulk edits write the edge list once instead.
+Vertices are dense non-negative integers ``0..n-1``.  Construction takes
+the child and parent lists, built once by whoever holds the graph, and
+accepts a valid graph with a few whole-graph tests; only a rejected graph
+runs the full pass of :func:`validate`, which names every broken rule.
+The topological order is computed on first use.  All structures are
+immutable after construction; editing operations return new objects, each
+rebuilt, so bulk edits write the edge list once instead.
 The records are ``NamedTuple``s, so they compare equal to plain tuples.
 """
 
 from __future__ import annotations
 
 import re
-from itertools import chain
-from operator import index
+from itertools import chain, compress
+from operator import index, not_
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -155,24 +156,29 @@ def _kahn_count(kids: Sequence[Sequence[int]], indeg: list[int], roots: Iterable
     return popped
 
 
-def _accept(n: int, edges: Sequence[Edge], labels: Mapping[int, str]):
-    """Sorted child and parent lists, the root and the leaves when ``(n,
-    edges, labels)`` is a valid network, else None.  Accepts exactly what
-    :func:`validate` accepts, with whole-graph tests in place of its
-    per-vertex reports: with every signature allowed, a repeated child is
-    a parallel edge and a self-loop is a cycle."""
-    if n <= 0 or min(chain.from_iterable(edges), default=0) < 0:
-        return None
+def _adjacency(n: int, edges: Iterable[Edge]) -> tuple[list[list[int]], list[list[int]]]:
+    """The child and parent lists of the arcs ``edges`` on ``n`` vertices,
+    in arc order.  An id of n or more raises IndexError; a caller whose ids
+    may be negative must refuse them first."""
     kids: list[list[int]] = [[] for _ in range(n)]
     pars: list[list[int]] = [[] for _ in range(n)]
-    try:
-        for u, v in edges:
-            kids[u].append(v)
-            pars[v].append(u)
-    except IndexError:
-        return None
+    for u, v in edges:
+        kids[u].append(v)
+        pars[v].append(u)
+    return kids, pars
+
+
+def _accept(kids: list, pars: list, single: bool, labels: Mapping[int, str]):
+    """The root, the in-degrees and the sinks when the child lists ``kids``
+    and parent lists ``pars`` with ``labels`` form a valid network, else
+    None; sorts every two-entry list in place.  Accepts exactly what
+    :func:`validate` accepts, with whole-graph tests in place of its
+    per-vertex reports: with every signature allowed, a repeated child is
+    a parallel edge and a self-loop is a cycle.  ``single`` says the graph
+    has no edges, which allows a lone vertex."""
+    n = len(kids)
     ins, outs = list(map(len, pars)), list(map(len, kids))
-    if not set(zip(ins, outs)) <= _SIGNATURES and not (n == 1 and not edges):
+    if not n or not set(zip(ins, outs)) <= _SIGNATURES and not (n == 1 and single):
         return None
     if ins.count(0) != 1:
         return None
@@ -185,9 +191,10 @@ def _accept(n: int, edges: Sequence[Edge], labels: Mapping[int, str]):
         if len(ws) == 2 and ws[0] > ws[1]:
             ws.reverse()
     root = ins.index(0)
+    in_degree = tuple(ins)
     if _kahn_count(kids, ins, (root,)) != n:
         return None
-    sinks = [v for v in range(n) if not outs[v]]
+    sinks = tuple(compress(range(n), map(not_, outs)))
     names = list(labels.values())
     try:
         if not _LABELS_RE.fullmatch("\n".join(names)):
@@ -196,18 +203,21 @@ def _accept(n: int, edges: Sequence[Edge], labels: Mapping[int, str]):
         return None
     if len(set(names)) != len(names) or labels.keys() != set(sinks):
         return None
-    return kids, pars, root, sinks
+    return root, in_degree, sinks
 
 
 class PhyloNetwork:
     """A validated rooted binary phylogenetic network.
 
     Construction validates; invalid input raises :class:`InvalidNetworkError`.
-    A valid graph passes a short accept test; only a rejected one is
+    One core, :meth:`from_lists`, takes the child and parent lists, runs a
+    short accept test and fills the fields; only a rejected graph is
     explained by the full pass of :func:`validate`, whose report the error
-    carries.  Instances are immutable: adjacency tuples are computed at
-    construction, the topological order on first use, and the label map is
-    exposed read-only.
+    carries.  ``PhyloNetwork(edges, leaf_labels)`` is its front end for an
+    arc list, which checks the ids; the readers, the completion and the
+    generator make dense int ids and call the core.  Instances are
+    immutable: adjacency tuples are computed at construction, the
+    topological order on first use, and the label map is exposed read-only.
     """
 
     __slots__ = (
@@ -218,30 +228,56 @@ class PhyloNetwork:
 
     def __init__(self, edges: Iterable[Edge], leaf_labels: Mapping[int, str], num_vertices: int | None = None):
         edge_tuple = tuple(edges)
-        # The readers and the generator pass pairs of ints, which need no
-        # copy; three C-level type tests confirm it.  operator.index copies
-        # other ids, and refuses a float or a string instead of truncating it.
+        # The usual ids are plain ints, which need no copy; C-level type
+        # tests confirm it.  operator.index copies other ids and label keys,
+        # and refuses a float or a string instead of truncating it.
         if not (set(map(type, edge_tuple)) <= {tuple} and set(map(len, edge_tuple)) <= {2}
                 and set(map(type, chain.from_iterable(edge_tuple))) <= {int}):
             edge_tuple = tuple((index(u), index(v)) for u, v in edge_tuple)
         labels = dict(leaf_labels)
+        if not set(map(type, labels)) <= {int}:
+            labels = {index(v): name for v, name in labels.items()}
         if num_vertices is None:
             num_vertices = max(max(chain.from_iterable(edge_tuple), default=-1),
                                max(labels, default=-1)) + 1
-        accepted = _accept(num_vertices, edge_tuple, labels)
-        if accepted is None:
-            raise InvalidNetworkError(validate(Digraph(num_vertices, edge_tuple, labels)))
-        kids, pars, self.root, leaves = accepted
+        try:
+            if min(chain.from_iterable(edge_tuple), default=0) < 0:
+                raise IndexError
+            kids, pars = _adjacency(num_vertices, edge_tuple)
+        except IndexError:  # an id outside 0..n-1
+            raise InvalidNetworkError(validate(Digraph(num_vertices, edge_tuple, labels))) from None
+        self._build(kids, pars, edge_tuple, labels)
 
-        self.num_vertices = num_vertices
-        self.edges = edge_tuple
+    @classmethod
+    def from_lists(cls, children: list, parents: list, edges: Sequence[Edge],
+                   leaf_labels: dict[int, str]) -> PhyloNetwork:
+        """The network whose vertex v has the children ``children[v]`` and
+        the parents ``parents[v]``, with the arcs ``edges`` in the order
+        ``net.edges`` keeps, and the label map ``leaf_labels``.
+
+        For producers that hold the lists: nothing checks that they agree
+        with ``edges`` or that their ids lie in ``0..n-1``, so a caller
+        must build them so.  The network takes the lists and the label map
+        over.  An entry may be a list or a tuple; a two-entry list is sorted
+        in place, so a two-entry tuple must already be ascending."""
+        net = cls.__new__(cls)
+        net._build(children, parents, edges, leaf_labels)
+        return net
+
+    def _build(self, kids: list, pars: list, edges: Sequence[Edge], labels: dict[int, str]) -> None:
+        """The construction core: accept the lists or raise, then fill the
+        fields."""
+        accepted = _accept(kids, pars, not edges, labels)
+        if accepted is None:
+            raise InvalidNetworkError(validate(Digraph(len(kids), tuple(edges), labels)))
+        self.root, self.in_degree, self.leaves = accepted
+        n = self.num_vertices = len(kids)
+        self.edges = tuple(edges)
         self.leaf_labels = MappingProxyType(labels)
         self.children = tuple(map(tuple, kids))
         self.parents = tuple(map(tuple, pars))
-        self.in_degree = tuple(map(len, pars))
         self.out_degree = tuple(map(len, kids))
-        self.leaves = tuple(leaves)
-        self.reticulations = tuple(v for v in range(num_vertices) if len(pars[v]) == 2)
+        self.reticulations = tuple(compress(range(n), map((2).__eq__, self.in_degree)))
         self._labels_sorted = tuple(sorted(labels.values()))
         self._by_label = {name: v for v, name in labels.items()}
         self._order: tuple[int, ...] | None = None

@@ -23,7 +23,7 @@ builds once.
 
 from __future__ import annotations
 
-from itertools import count
+from itertools import compress, count
 from typing import NamedTuple, Union
 
 from .network import Edge, PhyloNetwork
@@ -261,8 +261,8 @@ def tree_based_completion(net: PhyloNetwork) -> CompletionResult:
     the input already uses.
     The i-th edge (u, v) becomes (u, s), (s, v) in place and (s, s + 1) is
     appended, with s = n + 2i: the ids and edge order of :func:`attach_leaf`
-    applied edge by edge, built once.  With nothing to attach, ``net`` is
-    returned.
+    applied edge by edge, built once from the input's child and parent
+    lists with s spliced in.  With nothing to attach, ``net`` is returned.
     """
     succ = zigzag_trails(net)[0]
     out_degree = net.out_degree
@@ -274,16 +274,26 @@ def tree_based_completion(net: PhyloNetwork) -> CompletionResult:
     n = net.num_vertices
     attached = tuple((v, net.children[v][0]) for v in stuck)
     labels = tuple(next(fresh) for _ in stuck)
-    middle = {e: n + 2 * i for i, e in enumerate(attached)}
-    edges: list[Edge] = []
-    for e in net.edges:
-        s = middle.get(e)
-        if s is None:
-            edges.append(e)
-        else:
-            edges += ((e[0], s), (s, e[1]))
-    edges += [(s, s + 1) for s in middle.values()]
     leaf_labels = dict(net.leaf_labels)
-    leaf_labels.update((s + 1, label) for s, label in zip(middle.values(), labels))
-    return CompletionResult(network=PhyloNetwork(edges, leaf_labels, n + 2 * len(stuck)),
+    # s exceeds every id before it, so each spliced tuple stays ascending
+    kids, pars = list(net.children), list(net.parents)
+    middle = {}
+    for s, (u, v), label in zip(count(n, 2), attached, labels):
+        middle[u, v] = s
+        kids[u] = kids[u][1:] + (s,)  # v is u's smallest child
+        pars[v] = tuple(p for p in pars[v] if p != u) + (s,)
+        kids += ((v, s + 1), ())
+        pars += ((u,), (s,))
+        leaf_labels[s + 1] = label
+    edges: list[Edge] = []
+    start = 0
+    for i in compress(count(), map(middle.__contains__, net.edges)):
+        u, v = e = net.edges[i]
+        s = middle[e]
+        edges += net.edges[start:i]
+        edges += ((u, s), (s, v))
+        start = i + 1
+    edges += net.edges[start:]
+    edges += [(s, s + 1) for s in middle.values()]
+    return CompletionResult(network=PhyloNetwork.from_lists(kids, pars, edges, leaf_labels),
                             attached_edges=attached, labels=labels)

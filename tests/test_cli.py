@@ -144,7 +144,8 @@ def test_each_query_builds_and_derives_once(capsys, monkeypatch, query, name, ex
             return fn(*args, **kwargs)
         return counted
 
-    monkeypatch.setattr(PhyloNetwork, "__init__", counting("build", PhyloNetwork.__init__))
+    # the construction core, which the arc front end and every producer call
+    monkeypatch.setattr(PhyloNetwork, "_build", counting("build", PhyloNetwork._build))
     monkeypatch.setattr(PhyloNetwork, "topological_order",
                         counting("topological_order", PhyloNetwork.topological_order))
     modules = [m for n, m in sys.modules.items() if n == "tbnet" or n.startswith("tbnet.")]
@@ -207,6 +208,21 @@ json_values = st.recursive(
 @example(["", " ", '"', "\\", "\x1f", "\x7f", "\u00e9"])
 @example({"": 0, " ": 1, '"': 2, "\\": 3, "\x1f": 4, "\x7f": 5, "\u00e9": 6})
 def test_json_text_matches_json_dumps(value):
+    assert _json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+int_tuples = st.lists(st.lists(st.integers() | st.integers(min_value=-2**80, max_value=2**80),
+                               max_size=6).map(tuple), max_size=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(int_tuples, st.integers(min_value=0, max_value=3))
+@example([(), (), ()], 0)
+@example([(0, 1), (), (5,), (2, 3, 4)], 2)
+def test_int_tuple_lists_match_json_dumps(value, depth):
+    # lists of int tuples, at any indent, go through the one-format-call branch
+    for _ in range(depth):
+        value = {"k": value}
     assert _json_text(value) == json.dumps(value, indent=2, sort_keys=True)
 
 

@@ -37,6 +37,18 @@ def test_three_tokens_rejected():
     assert "parent child" in str(err.value)
 
 
+@pytest.mark.parametrize("text,line,column", [
+    ("r a\nr b c\n", 2, 1),
+    ("# x y z\r\nr a # b c\r\n\r\n  r a b\r\n", 4, 1),
+    ("r a\u2028r\x85b c d\n", 1, 7),  # Unicode line breaks end a line, not a row
+    ("r a\nr b\n\x0bx # y\nq w e", 4, 1),
+])
+def test_a_malformed_line_is_reported_where_it_starts(text, line, column):
+    with pytest.raises(ParseError) as err:
+        parse_edgelist(text)
+    assert (err.value.line, err.value.column) == (line, column)
+
+
 def test_empty_input_rejected():
     with pytest.raises(ParseError):
         parse_edgelist("# nothing but comments\n\n")

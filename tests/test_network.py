@@ -10,6 +10,11 @@ from tbnet import (
     PhyloNetwork,
     attach_leaf,
     generate,
+    parse_edgelist,
+    parse_enewick,
+    serialize_edgelist,
+    serialize_enewick,
+    tree_based_completion,
     validate,
 )
 
@@ -71,6 +76,21 @@ def test_ids_that_are_not_int_pairs_go_through_int(edges):
 def test_ids_that_are_not_ints_are_refused(edges):
     with pytest.raises(TypeError):
         PhyloNetwork(edges, {1: "a", 2: "b"})
+
+
+@pytest.mark.parametrize("key", [1.0, "1"], ids=["float", "str"])
+@pytest.mark.parametrize("n", [None, 3])
+def test_label_keys_that_are_not_ints_are_refused(key, n):
+    # as an edge id is: not truncated, parsed or compared with the int keys
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        PhyloNetwork([(0, 1), (0, 2)], {key: "a", 2: "b"}, n)
+
+
+def test_a_bool_label_key_is_stored_as_an_int():
+    net = PhyloNetwork([(0, 1), (0, 2)], {True: "a", 2: "b"})
+    assert type(net.vertex_by_label("a")) is int
+    assert net.vertex_by_label("a") == 1
+    assert {type(v) for v in net.leaf_labels} == {int}
 
 
 def test_an_edge_that_is_not_a_pair_is_refused():
@@ -228,11 +248,44 @@ def test_construction_accepts_exactly_what_validate_accepts():
     outcomes = set()
     for n, edges, labels in graphs:
         report = validate(Digraph(n, tuple(edges), labels))
+        built = {}
         try:
-            PhyloNetwork(edges, labels, n)
+            built["arcs"] = PhyloNetwork(edges, labels, n)
         except InvalidNetworkError as err:
             assert err.report == report and not report.ok, (n, edges, labels)
         else:
             assert report.ok, (n, edges, labels)
+        # Lists hold only ids in 0..n-1, so the core sees those graphs.
+        if all(0 <= x < n for e in edges for x in e):
+            kids = [[] for _ in range(n)]
+            pars = [[] for _ in range(n)]
+            for u, v in edges:
+                kids[u].append(v)
+                pars[v].append(u)
+            try:
+                built["lists"] = PhyloNetwork.from_lists(kids, pars, edges, dict(labels))
+            except InvalidNetworkError as err:
+                assert err.report == report and not report.ok, (n, edges, labels)
+            else:
+                assert report.ok, (n, edges, labels)
+        if len(built) == 2:
+            assert _fields(built["lists"]) == _fields(built["arcs"])
         outcomes.add(report.ok)
     assert outcomes == {True, False}
+
+
+def _fields(net):
+    return (net.num_vertices, net.edges, dict(net.leaf_labels), net.root, net.children,
+            net.parents, net.in_degree, net.out_degree, net.leaves, net.reticulations,
+            net.labels)
+
+
+def test_producers_build_what_the_arc_front_end_builds():
+    # the readers, the completion and the generator hand the core their own
+    # lists; the front end rebuilds them from the arcs
+    for net in corpus(300, max_leaves=7, max_retics=6, seed_base=47_000):
+        built = [net, parse_enewick(serialize_enewick(net)),
+                 parse_edgelist(serialize_edgelist(net))]
+        built += [tree_based_completion(x).network for x in built]
+        for x in built:
+            assert _fields(x) == _fields(PhyloNetwork(x.edges, x.leaf_labels, x.num_vertices))
