@@ -341,7 +341,16 @@ def is_temporal(net: PhyloNetwork) -> tuple[bool, TemporalMap | None]:
     by reticulation edges share a group.  A temporal map exists iff no tree
     edge joins a group to itself and the tree-edge relation between groups
     is acyclic; the map assigned is the longest-path level of each group.
+    The first call decides and keeps the pair on ``net``; later calls
+    return it.
     """
+    if net._temporal is None:
+        net._temporal = _temporal_test(net)
+    return net._temporal
+
+
+def _temporal_test(net: PhyloNetwork) -> tuple[bool, TemporalMap | None]:
+    """:func:`is_temporal`, decided afresh."""
     n, parents, in_degree = net.num_vertices, net.parents, net.in_degree
     group = list(range(n))
 

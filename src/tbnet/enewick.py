@@ -40,12 +40,15 @@ _NONE, _LEAF, _DONE, _GROUP, _NAMED = range(5)
 
 
 class ParseError(ValueError):
-    """Input text rejected, with position information."""
+    """Input text rejected, with position information.  Lines are numbered
+    as ``str.splitlines`` splits them, the rule both readers share."""
 
     def __init__(self, message: str, text: str, offset: int):
         self.offset = offset
-        self.line = text.count("\n", 0, offset) + 1
-        self.column = offset - text.rfind("\n", 0, offset)
+        # a character that breaks no line closes the offset's own line
+        lines = (text[:offset] + "x").splitlines()
+        self.line = len(lines)
+        self.column = len(lines[-1])
         super().__init__(f"{message} (line {self.line}, column {self.column})")
 
 

@@ -10,9 +10,11 @@ Vertices are dense non-negative integers ``0..n-1``.  Construction takes
 the child and parent lists, built once by whoever holds the graph, and
 accepts a valid graph with a few whole-graph tests; only a rejected graph
 runs the full pass of :func:`validate`, which names every broken rule.
-The topological order is computed on first use.  All structures are
-immutable after construction; editing operations return new objects, each
-rebuilt, so bulk edits write the edge list once instead.
+The topological order, the zig-zag trail walk and the temporal test are
+each computed on first use and kept on the network, so every later query
+on the same object reads them.  All structures are immutable after
+construction; editing operations return new objects, each rebuilt, so
+bulk edits write the edge list once instead.
 The records are ``NamedTuple``s, so they compare equal to plain tuples.
 """
 
@@ -218,12 +220,15 @@ class PhyloNetwork:
     generator make dense int ids and call the core.  Instances are
     immutable: adjacency tuples are computed at construction, the
     topological order on first use, and the label map is exposed read-only.
+    ``_trails`` and ``_temporal`` keep the walk and the temporal test, which
+    :mod:`tbnet.treebased` and :mod:`tbnet.antichains` fill on first use.
     """
 
     __slots__ = (
         "num_vertices", "edges", "leaf_labels", "root",
         "children", "parents", "in_degree", "out_degree",
         "leaves", "reticulations", "_labels_sorted", "_order", "_by_label",
+        "_trails", "_temporal",
     )
 
     def __init__(self, edges: Iterable[Edge], leaf_labels: Mapping[int, str], num_vertices: int | None = None):
@@ -281,6 +286,7 @@ class PhyloNetwork:
         self._labels_sorted = tuple(sorted(labels.values()))
         self._by_label = {name: v for v, name in labels.items()}
         self._order: tuple[int, ...] | None = None
+        self._trails = self._temporal = None
 
     @property
     def labels(self) -> tuple[str, ...]:

@@ -17,8 +17,9 @@ witnesses: its maximum matching chains a minimum path partition and, with
 each path start hung below a parent, a spanning tree realizing ``l``; the
 unmatched vertices with out-edges, that tree's unlabeled leaves, give a
 completion realizing ``t``; and its first W-fence is the failure witness.
-Each query walks once; the completion writes its edge list in one pass and
-builds once.
+Each network is walked once: the walk is kept on the network, and every
+later query on it reads the kept walk.  The completion writes its edge list
+in one pass and builds once.
 """
 
 from __future__ import annotations
@@ -94,7 +95,7 @@ class FailureWitness(NamedTuple):
 TreeBasedCertificate = Union[BaseTreeCertificate, FailureWitness]
 
 
-def zigzag_trails(net: PhyloNetwork) -> tuple[list[int], list[int], tuple[tuple[int, ...], ...]]:
+def zigzag_trails(net: PhyloNetwork) -> tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, ...], ...]]:
     """Walk the maximal zig-zag trails of the path graph once.
 
     The path graph, an edge (u-left, v-right) per arc (u, v), has maximum
@@ -103,11 +104,14 @@ def zigzag_trails(net: PhyloNetwork) -> tuple[list[int], list[int], tuple[tuple[
     walked from an end, smallest-id end first, then crowns.  Every other
     arc of a trail, from its first, is taken: no matching meets a path or
     even cycle of e arcs in more than ceil(e/2) arcs, so the taken arcs are
-    a maximum matching.  Returns them as lists ``succ`` and ``pred``
+    a maximum matching.  Returns them as tuples ``succ`` and ``pred``
     (``succ[u] == v``, ``pred[v] == u``, else -1), and the W-fences t0, h1,
     t1, ..., hk, tk, each from its smaller end reticulation (end tail when
-    k = 1) and sorted by it: the first is the failure witness.
+    k = 1) and sorted by it: the first is the failure witness.  The first
+    call walks and keeps the triple on ``net``; later calls return it.
     """
+    if net._trails is not None:
+        return net._trails
     n = net.num_vertices
     nbrs = (net.children, net.parents)  # side 0: tails, 1: heads
     match = ([-1] * n, [-1] * n)
@@ -143,10 +147,11 @@ def zigzag_trails(net: PhyloNetwork) -> tuple[list[int], list[int], tuple[tuple[
         if out_degree[v] == 2 and not seen[0][v]:
             walk(v, 0)
     fences.sort(key=lambda f: f[1])
-    return match[0], match[1], tuple(fences)
+    net._trails = (tuple(match[0]), tuple(match[1]), tuple(fences))
+    return net._trails
 
 
-def _chained_paths(net: PhyloNetwork, succ: list[int], pred: list[int]) -> PathPartition:
+def _chained_paths(net: PhyloNetwork, succ: tuple[int, ...], pred: tuple[int, ...]) -> PathPartition:
     # Paths start at the vertices without a predecessor and follow successors.
     paths = []
     for start in range(net.num_vertices):
@@ -186,7 +191,7 @@ def rooted_spanning_tree(net: PhyloNetwork) -> SpanningTree:
     return _spanning_tree(net, succ, pred)
 
 
-def _spanning_tree(net: PhyloNetwork, succ: list[int], pred: list[int]) -> SpanningTree:
+def _spanning_tree(net: PhyloNetwork, succ: tuple[int, ...], pred: tuple[int, ...]) -> SpanningTree:
     """The tree read off the walk's matching: every matched arc (u,
     succ[u]), which chains the minimum path partition, and every path start
     but the root spliced below its smallest-id parent.  No path end (a

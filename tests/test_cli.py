@@ -407,6 +407,23 @@ def test_bench_payload(capsys):
     assert env["input_sha256"] is None
 
 
+def test_bench_walks_on_every_repeat(capsys, monkeypatch):
+    # a network keeps its walk, so a repeat on the same object would time a
+    # lookup; each repeat must walk a network of its own
+    walked = []
+
+    def counted(net):
+        if net._trails is None:
+            walked.append(net)
+        return zigzag_trails(net)
+
+    monkeypatch.setattr(treebased, "zigzag_trails", counted)
+    code, env, _ = run_json(capsys, "bench", "--leaves", "10", "--retics", "3",
+                            "--repeat", "3")
+    assert code == 0 and len(env["payload"]["runs_ms"]) == 3
+    assert len(walked) == len(set(map(id, walked))) == 3
+
+
 @pytest.mark.parametrize("repeat", ["0", "-3"])
 def test_bench_needs_at_least_one_repeat(capsys, repeat):
     code, out, err = run(capsys, "bench", "--leaves", "4", "--retics", "1",

@@ -40,8 +40,9 @@ def test_three_tokens_rejected():
 @pytest.mark.parametrize("text,line,column", [
     ("r a\nr b c\n", 2, 1),
     ("# x y z\r\nr a # b c\r\n\r\n  r a b\r\n", 4, 1),
-    ("r a\u2028r\x85b c d\n", 1, 7),  # Unicode line breaks end a line, not a row
-    ("r a\nr b\n\x0bx # y\nq w e", 4, 1),
+    ("r a\u2028r\x85b c d\n", 3, 1),  # every break str.splitlines knows ends a line
+    ("r a\nr b\n\x0bx # y\nq w e", 5, 1),
+    ("r a\rr b c\r", 2, 1),  # bare carriage returns
 ])
 def test_a_malformed_line_is_reported_where_it_starts(text, line, column):
     with pytest.raises(ParseError) as err:

@@ -203,7 +203,7 @@ MALFORMED = [
     ('(a,\n(b,\n c)\n)\n)\n;', "unmatched ')'", 5, 1),
     ('(a,\n  b:1);', 'branch lengths are not supported', 2, 4),
     ('(a\xa0b);', 'unexpected label', 1, 4),
-    ('(a,b)\u3000;\u2028x', "unexpected text after ';'", 1, 9),
+    ('(a,b)\u3000;\u2028x', "unexpected text after ';'", 2, 1),
     ('(a,b);:', 'branch lengths are not supported', 1, 7),
     ('(a,,b):', 'branch lengths are not supported', 1, 7),
     ('(a,,b)é;', "unexpected character 'é'", 1, 7),

@@ -7,6 +7,7 @@ import hashlib
 import importlib
 import json
 import types
+from pathlib import Path
 
 import pytest
 
@@ -148,3 +149,23 @@ def test_antichain_answers_read_no_arc_list():
     reads = [node.lineno for node in ast.walk(tree)
              if isinstance(node, ast.Attribute) and node.attr == "edges"]
     assert not reads, f"antichains.py reads .edges on lines {reads}"
+
+
+def test_each_stored_structure_is_filled_by_one_module():
+    # network.py declares the stores and starts them empty; only the module
+    # that computes a structure fills its store, so no other code can hand
+    # a query a result it did not compute
+    owner = {"_trails": "treebased.py", "_temporal": "antichains.py"}
+    writes, declared = set(), set()
+    for path in sorted(Path(tbnet.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign, ast.Delete)):
+                targets = node.targets if isinstance(node, (ast.Assign, ast.Delete)) else [node.target]
+                empties = isinstance(node, ast.Assign) and path.name == "network.py" and (
+                    isinstance(node.value, ast.Constant) and node.value.value is None)
+                writes |= {(sub.attr, path.name) for target in targets for sub in ast.walk(target)
+                           if isinstance(sub, ast.Attribute) and sub.attr in owner and not empties}
+            elif isinstance(node, ast.Constant) and node.value in owner:
+                declared.add((node.value, path.name))
+    assert writes == set(owner.items())
+    assert declared == {(name, "network.py") for name in owner}

@@ -58,3 +58,33 @@ def test_enewick_reader_raises_only_input_errors(text):
 @given(mutated(EDGELIST))
 def test_edgelist_reader_raises_only_input_errors(text):
     _read_or_reject(parse_edgelist, text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(st.sampled_from("ab \n\r\x0b\x0c\x1c\x85\u2028")), st.data())
+def test_error_positions_count_lines_as_splitlines(text, data):
+    offset = data.draw(st.integers(0, len(text)))
+    if text[offset - 1:offset + 1] == "\r\n":
+        offset -= 1  # no error is reported between "\r" and "\n"
+    starts, pos = [0], 0  # line starts: 0 and the end of each line break
+    for piece in text.splitlines(keepends=True):
+        pos += len(piece)
+        if piece.splitlines() != [piece]:
+            starts.append(pos)
+    line = sum(start <= offset for start in starts)
+    err = ParseError("bad", text, offset)
+    assert (err.line, err.column) == (line, offset - starts[line - 1] + 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(st.sampled_from("ab \t\n")), st.booleans(), st.data())
+def test_error_positions_in_newline_texts_are_unchanged(text, crlf, data):
+    # with "\n" or "\r\n" line ends, lines are counted by "\n" as before
+    if crlf:
+        text = text.replace("\n", "\r\n")
+    offset = data.draw(st.integers(0, len(text)))
+    if text[offset - 1:offset + 1] == "\r\n":
+        offset -= 1  # no error is reported between "\r" and "\n"
+    err = ParseError("bad", text, offset)
+    assert (err.line, err.column) == (text.count("\n", 0, offset) + 1,
+                                      offset - text.rfind("\n", 0, offset))
