@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Iterable, NamedTuple
 
 from .network import PhyloNetwork
-from .treebased import _failure_witness, deviation_indices, zigzag_trails
+from .treebased import deviation_indices, is_tree_based, zigzag_trails
 
 DEFAULT_EXHAUSTIVE_BOUND = 18
 
@@ -412,15 +412,9 @@ def temporal_violating_antichain(net: PhyloNetwork) -> tuple[int, ...]:
     """
     if not is_temporal(net)[0]:
         raise ValueError("network is not temporal")
-    fences = zigzag_trails(net)[2]
-    if not fences:
+    based, witness = is_tree_based(net)
+    if based:
         raise ValueError("network is tree-based; no violating antichain exists")
-    return _violating_antichain(net, fences[0])
-
-
-def _violating_antichain(net: PhyloNetwork, fence: tuple[int, ...]) -> tuple[int, ...]:
-    """:func:`temporal_violating_antichain` from a W-fence of a temporal network."""
-    witness = _failure_witness(net, fence)
     u_set = witness.u1
     below = _reachable(net, witness.u2)
     drop = {v for v in (u_set[0], u_set[-1]) if below[v]}

@@ -11,7 +11,7 @@ One pipeline in :func:`main` serves every subcommand.  It reads and builds
 the input network (``gen`` and ``bench`` generate theirs), times the query,
 calls the subcommand's answer function and writes the ``--json`` envelope
 or the human lines to stdout in one write.  An answer function
-``cmd_*(args, net)`` holds only its library call and returns
+``cmd_*(args, net)`` holds only public library calls and returns
 ``(payload, human_lines, exit_code)``, with the library's tuples in the
 payload as they are; every ``--dot`` is written by :func:`_dot`.
 :func:`_json_text` writes the envelope, each list of edges or paths with
@@ -258,10 +258,10 @@ def cmd_spanning_tree(args, net: PhyloNetwork) -> Answer:
 
 
 def cmd_complete(args, net: PhyloNetwork) -> Answer:
-    from .treebased import tree_based_completion, zigzag_trails
+    from .treebased import deviation_indices, tree_based_completion
 
     result = tree_based_completion(net)
-    if zigzag_trails(result.network)[2]:
+    if deviation_indices(result.network).p:
         raise RuntimeError("the completed network still has a W-fence")
     text = serialize_enewick(result.network)
     payload = {
@@ -303,7 +303,6 @@ def _resolve_vertices(net: PhyloNetwork, spec: str) -> tuple[int, ...]:
 def cmd_antichain(args, net: PhyloNetwork) -> Answer:
     from .antichains import (antichain_to_leaf, has_antichain_to_leaf_property,
                              is_temporal, max_antichain)
-    from .treebased import deviation_indices
 
     if args.max:
         antichain, chains = max_antichain(net)
@@ -323,10 +322,9 @@ def cmd_antichain(args, net: PhyloNetwork) -> Answer:
             human += ["  " + " -> ".join(map(str, p)) for p in witness.paths]
         return payload, human, 0 if routed else 1
     # --check-property
-    temporal, _ = is_temporal(net)
-    strategy = "temporal-shortcut" if temporal else "exhaustive"
-    try:  # on a temporal network the property is tree-basedness
-        holds = deviation_indices(net).p == 0 if temporal else has_antichain_to_leaf_property(net)
+    strategy = "temporal-shortcut" if is_temporal(net)[0] else "exhaustive"
+    try:
+        holds = has_antichain_to_leaf_property(net, strategy)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     payload = {"mode": "check-property", "strategy": strategy, "holds": holds}
@@ -335,17 +333,16 @@ def cmd_antichain(args, net: PhyloNetwork) -> Answer:
 
 
 def cmd_temporal(args, net: PhyloNetwork) -> Answer:
-    from .antichains import _violating_antichain, is_temporal
-    from .treebased import zigzag_trails
+    from .antichains import is_temporal, temporal_violating_antichain
+    from .treebased import deviation_indices
 
     temporal, tmap = is_temporal(net)
     payload = {"temporal": temporal,
                "ranks": tmap.ranks if tmap else None,
                "violating_antichain": None}
     human = [f"temporal: {'yes' if temporal else 'no'}"]
-    fences = zigzag_trails(net)[2] if temporal else ()
-    if fences:
-        violating = _violating_antichain(net, fences[0])
+    if temporal and deviation_indices(net).p:
+        violating = temporal_violating_antichain(net)
         payload["violating_antichain"] = violating
         human.append(f"not tree-based; antichain with no disjoint leaf routing: "
                      f"{list(violating)}")

@@ -118,6 +118,8 @@ def zigzag_trails(net: PhyloNetwork) -> tuple[tuple[int, ...], tuple[int, ...], 
     seen = (bytearray(n), bytearray(n))
 
     def walk(v: int, side: int) -> list[int]:
+        us = nbrs[1 - side][nbrs[side][v][0]]  # the adjacency's own v, not a new int
+        v = us[0] if us[0] == v else us[-1]
         trail, prev, take = [], -1, True
         while True:
             trail.append(v)
@@ -151,8 +153,14 @@ def zigzag_trails(net: PhyloNetwork) -> tuple[tuple[int, ...], tuple[int, ...], 
     return net._trails
 
 
-def _chained_paths(net: PhyloNetwork, succ: tuple[int, ...], pred: tuple[int, ...]) -> PathPartition:
-    # Paths start at the vertices without a predecessor and follow successors.
+def vertex_disjoint_paths(net: PhyloNetwork) -> PathPartition:
+    """A minimum partition of the vertices into vertex-disjoint directed paths.
+
+    Chained from the trail walk's maximum matching of the path graph:
+    vertices without a predecessor start paths, successors extend them.
+    The number of paths is always ``u_gn`` = p + |X|.
+    """
+    succ, pred, _ = zigzag_trails(net)
     paths = []
     for start in range(net.num_vertices):
         if pred[start] == -1:
@@ -167,17 +175,6 @@ def _chained_paths(net: PhyloNetwork, succ: tuple[int, ...], pred: tuple[int, ..
     return PathPartition(tuple(paths))
 
 
-def vertex_disjoint_paths(net: PhyloNetwork) -> PathPartition:
-    """A minimum partition of the vertices into vertex-disjoint directed paths.
-
-    Chained from the trail walk's maximum matching of the path graph:
-    vertices without a predecessor start paths, successors extend them.
-    The number of paths is always ``u_gn`` = p + |X|.
-    """
-    succ, pred, _ = zigzag_trails(net)
-    return _chained_paths(net, succ, pred)
-
-
 def deviation_indices(net: PhyloNetwork) -> DeviationReport:
     """Compute l, p, t (the W-fence count) plus the raw quantities."""
     p, x = len(zigzag_trails(net)[2]), len(net.leaves)
@@ -186,19 +183,16 @@ def deviation_indices(net: PhyloNetwork) -> DeviationReport:
 
 def rooted_spanning_tree(net: PhyloNetwork) -> SpanningTree:
     """A rooted spanning tree with the fewest possible unlabeled leaves:
-    the path ends outside X of a minimum path partition."""
-    succ, pred, _ = zigzag_trails(net)
-    return _spanning_tree(net, succ, pred)
+    the path ends outside X of a minimum path partition.
 
-
-def _spanning_tree(net: PhyloNetwork, succ: tuple[int, ...], pred: tuple[int, ...]) -> SpanningTree:
-    """The tree read off the walk's matching: every matched arc (u,
+    The tree is read off the walk's matching: every matched arc (u,
     succ[u]), which chains the minimum path partition, and every path start
     but the root spliced below its smallest-id parent.  No path end (a
     vertex without a successor) is such a parent: the matching is maximum,
     so an arc from an unmatched-left path end to an unmatched-right path
     start would augment it.  The tree's leaves are therefore exactly the
     path ends."""
+    succ, pred, _ = zigzag_trails(net)
     parents, root = net.parents, net.root
     edges = [(u, v) for u, v in enumerate(succ) if v != -1]
     edges += [(parents[v][0], v) for v, u in enumerate(pred) if u == -1 and v != root]
@@ -213,10 +207,10 @@ def is_tree_based(net: PhyloNetwork) -> tuple[bool, TreeBasedCertificate]:
     Positive answers carry a base tree; negative answers carry the first
     W-fence as the witness, with its unsatisfiable (u1, u2) pair.
     """
-    succ, pred, fences = zigzag_trails(net)
+    fences = zigzag_trails(net)[2]
     if fences:
         return False, _failure_witness(net, fences[0])
-    tree = _spanning_tree(net, succ, pred)
+    tree = rooted_spanning_tree(net)
     if tree.unlabeled_leaves(net):
         raise ValueError("no W-fence, yet the base tree has an unlabeled leaf")
     return True, BaseTreeCertificate(tree)
@@ -260,7 +254,7 @@ def tree_based_completion(net: PhyloNetwork) -> CompletionResult:
     Every unlabeled leaf of the spanning tree :func:`rooted_spanning_tree`
     builds gets a new pendant leaf on its smallest-headed out-edge.  Those
     leaves are read straight off the trail walk: they are the vertices
-    with out-edges and no successor (see :func:`_spanning_tree`).  That
+    with out-edges and no successor, the tree's path ends outside X.  That
     adds exactly ``t`` leaves, labeled ``attached_1``, ``attached_2``, ...
     in ascending order of the subdivided edge's tail, skipping every label
     the input already uses.

@@ -12,7 +12,7 @@ import jsonschema
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from tbnet import PhyloNetwork, is_temporal, is_tree_based, parse_enewick, parse_edgelist
+from tbnet import PhyloNetwork, is_tree_based, parse_enewick, parse_edgelist
 from tbnet import treebased
 from tbnet.cli import _json_text, main, process_main
 from tbnet.treebased import zigzag_trails
@@ -148,11 +148,16 @@ def test_each_query_builds_and_derives_once(capsys, monkeypatch, query, name, ex
     monkeypatch.setattr(PhyloNetwork, "_build", counting("build", PhyloNetwork._build))
     monkeypatch.setattr(PhyloNetwork, "topological_order",
                         counting("topological_order", PhyloNetwork.topological_order))
-    modules = [m for n, m in sys.modules.items() if n == "tbnet" or n.startswith("tbnet.")]
-    for key, fn in (("walk", zigzag_trails), ("is_temporal", is_temporal)):
-        for mod in modules:
-            if getattr(mod, fn.__name__, None) is fn:
-                monkeypatch.setattr(mod, fn.__name__, counting(key, fn))
+    # a walk or a temporal test is counted when its result is stored, so a
+    # second call that reads the stored result is free and one that
+    # computes again is not
+    for key, store in (("walk", "_trails"), ("is_temporal", "_temporal")):
+        slot = PhyloNetwork.__dict__[store]
+
+        def counting_setter(net, value, key=key, slot=slot):
+            counts[key] += value is not None
+            slot.__set__(net, value)
+        monkeypatch.setattr(PhyloNetwork, store, property(slot.__get__, counting_setter))
     code, env, _ = run_json(capsys, *query, fixture_path(name + ext))
     assert code in (0, 1)
     # complete walks its result too, and builds it unless it attached nothing

@@ -169,3 +169,23 @@ def test_each_stored_structure_is_filled_by_one_module():
                 declared.add((node.value, path.name))
     assert writes == set(owner.items())
     assert declared == {(name, "network.py") for name in owner}
+
+
+def test_no_module_imports_another_modules_private_name():
+    # a module's underscored names are its own, so every answer goes through
+    # public functions; the one shared helper is network._adjacency, which
+    # the readers and the generator build their lists with
+    shared = {("network", "_adjacency")}
+    private = []
+    for path in sorted(Path(tbnet.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            module = node.module or "tbnet"
+            if not node.level and module.partition(".")[0] != "tbnet":
+                continue
+            source = module.rpartition(".")[2]
+            private += [(path.name, source, alias.name) for alias in node.names
+                        if alias.name.startswith("_") and not alias.name.endswith("__")
+                        and (source, alias.name) not in shared]
+    assert not private

@@ -6,10 +6,10 @@ import sys
 
 import pytest
 
-from tbnet import (antichain_to_leaf, deviation_indices, has_antichain_to_leaf_property,
-                   is_temporal, is_tree_based, max_antichain, parse_edgelist, parse_enewick,
-                   rooted_spanning_tree, serialize_edgelist, serialize_enewick,
-                   tree_based_completion, vertex_disjoint_paths)
+from tbnet import (GenSpec, antichain_to_leaf, deviation_indices, generate,
+                   has_antichain_to_leaf_property, is_temporal, is_tree_based, max_antichain,
+                   parse_edgelist, parse_enewick, rooted_spanning_tree, serialize_edgelist,
+                   serialize_enewick, tree_based_completion, vertex_disjoint_paths)
 from tbnet.antichains import DEFAULT_EXHAUSTIVE_BOUND, _temporal_test
 from tbnet.treebased import zigzag_trails
 
@@ -91,3 +91,20 @@ def test_a_network_built_for_a_query_walks_for_itself():
     done = tree_based_completion(net).network
     assert done is not net and deviation_indices(done).p == 0
     assert zigzag_trails(done) is not zigzag_trails(net)
+
+
+@pytest.mark.parametrize("write, read", [(None, None), (serialize_enewick, parse_enewick),
+                                         (serialize_edgelist, parse_edgelist)],
+                         ids=["generated", "enewick", "edgelist"])
+def test_the_kept_walk_holds_no_id_of_its_own(write, read):
+    # ids above 256 are not cached ints: a walk that stored an int it made
+    # itself, say its loop variable, would keep a second object per trail
+    net = generate(GenSpec(300, 201, seed=1))
+    if read is not None:
+        net = read(write(net))
+    assert net.num_vertices >= 1000
+    held = {id(v) for lists in (net.children, net.parents) for vs in lists for v in vs}
+    succ, pred, fences = zigzag_trails(net)
+    assert fences
+    kept = [v for v in succ + pred if v != -1] + [v for fence in fences for v in fence]
+    assert all(id(v) in held for v in kept)
