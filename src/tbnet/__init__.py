@@ -33,7 +33,7 @@ _EXPORTS = {
     ),
     "network": (
         "Digraph", "InvalidNetworkError", "PhyloNetwork", "ValidationReport",
-        "Violation", "attach_leaf", "validate",
+        "Violation", "attach_leaf", "attach_leaves", "validate",
     ),
     "treebased": (
         "BaseTreeCertificate", "CompletionResult", "DeviationReport",

@@ -38,7 +38,7 @@ def parse_edgelist(text: str) -> PhyloNetwork:
         raise ParseError("empty input", text, 0)
     kids, pars = _adjacency(len(ids), edges)
     labels = {vid: tok for tok, vid in ids.items() if not kids[vid]}
-    return PhyloNetwork.from_lists(kids, pars, edges, labels)
+    return PhyloNetwork.from_lists(kids, pars, labels)
 
 
 def vertex_names(net: PhyloNetwork) -> list[str]:
@@ -62,5 +62,5 @@ def serialize_edgelist(net: PhyloNetwork) -> str:
     names = vertex_names(net)
     if net.num_vertices == 1:
         return names[0] + "\n"
-    lines = [f"{names[u]} {names[v]}" for u, v in sorted(net.edges)]
+    lines = [f"{names[u]} {names[v]}" for u, v in net.edges]
     return "\n".join(lines) + "\n"

@@ -168,7 +168,7 @@ def parse_enewick(text: str) -> PhyloNetwork:
         if tag not in hybrid_defined:
             raise _error_at(text, end, f"hybrid tag {tag} never given a subtree")
     kids, pars = _adjacency(n, edges)
-    return PhyloNetwork.from_lists(kids, pars, edges, labels)
+    return PhyloNetwork.from_lists(kids, pars, labels)
 
 
 def serialize_enewick(net: PhyloNetwork) -> str:

@@ -162,7 +162,7 @@ def _build(rng: SplitMix64, num_leaves: int, num_reticulations: int) -> PhyloNet
     for v, ws in enumerate(kids):
         if not ws:
             labels[v] = f"x{len(labels) + 1}"
-    return PhyloNetwork.from_lists(kids, pars, b.edges, labels)
+    return PhyloNetwork.from_lists(kids, pars, labels)
 
 
 def generate(spec: GenSpec) -> PhyloNetwork:

@@ -10,11 +10,13 @@ Vertices are dense non-negative integers ``0..n-1``.  Construction takes
 the child and parent lists, built once by whoever holds the graph, and
 accepts a valid graph with a few whole-graph tests; only a rejected graph
 runs the full pass of :func:`validate`, which names every broken rule.
-The topological order, the zig-zag trail walk and the temporal test are
-each computed on first use and kept on the network, so every later query
-on the same object reads them.  All structures are immutable after
-construction; editing operations return new objects, each rebuilt, so
-bulk edits write the edge list once instead.
+The network keeps no arc list: ``edges`` is read off the child lists, in
+ascending order, so no answer depends on the order the input listed its
+arcs in.  The topological order, the zig-zag trail walk and the temporal
+test are each computed on first use and kept on the network, so every
+later query on the same object reads them.  All structures are immutable
+after construction; :func:`attach_leaves` returns a new network, built
+once for any number of attachments.
 The records are ``NamedTuple``s, so they compare equal to plain tuples.
 """
 
@@ -84,6 +86,7 @@ def validate(graph: Digraph) -> ValidationReport:
     out-degree-0 vertices, drawn from the lexicon every serializer accepts.
     """
     n, edges, leaf_labels = graph
+    edges = sorted(edges)  # the report does not depend on arc order
     if n <= 0:
         return ValidationReport(False, (Violation("empty", (), "network has no vertices"),))
 
@@ -170,17 +173,16 @@ def _adjacency(n: int, edges: Iterable[Edge]) -> tuple[list[list[int]], list[lis
     return kids, pars
 
 
-def _accept(kids: list, pars: list, single: bool, labels: Mapping[int, str]):
+def _accept(kids: list, pars: list, labels: Mapping[int, str]):
     """The root, the in-degrees and the sinks when the child lists ``kids``
     and parent lists ``pars`` with ``labels`` form a valid network, else
     None; sorts every two-entry list in place.  Accepts exactly what
     :func:`validate` accepts, with whole-graph tests in place of its
     per-vertex reports: with every signature allowed, a repeated child is
-    a parallel edge and a self-loop is a cycle.  ``single`` says the graph
-    has no edges, which allows a lone vertex."""
+    a parallel edge and a self-loop is a cycle."""
     n = len(kids)
     ins, outs = list(map(len, pars)), list(map(len, kids))
-    if not n or not set(zip(ins, outs)) <= _SIGNATURES and not (n == 1 and single):
+    if not n or not set(zip(ins, outs)) <= _SIGNATURES and not (n == 1 and not kids[0]):
         return None
     if ins.count(0) != 1:
         return None
@@ -216,8 +218,8 @@ class PhyloNetwork:
     short accept test and fills the fields; only a rejected graph is
     explained by the full pass of :func:`validate`, whose report the error
     carries.  ``PhyloNetwork(edges, leaf_labels)`` is its front end for an
-    arc list, which checks the ids; the readers, the completion and the
-    generator make dense int ids and call the core.  Instances are
+    arc list, which checks the ids; the readers, :func:`attach_leaves` and
+    the generator make dense int ids and call the core.  Instances are
     immutable: adjacency tuples are computed at construction, the
     topological order on first use, and the label map is exposed read-only.
     ``_trails`` and ``_temporal`` keep the walk and the temporal test, which
@@ -225,7 +227,7 @@ class PhyloNetwork:
     """
 
     __slots__ = (
-        "num_vertices", "edges", "leaf_labels", "root",
+        "num_vertices", "leaf_labels", "root",
         "children", "parents", "in_degree", "out_degree",
         "leaves", "reticulations", "_labels_sorted", "_order", "_by_label",
         "_trails", "_temporal",
@@ -251,33 +253,31 @@ class PhyloNetwork:
             kids, pars = _adjacency(num_vertices, edge_tuple)
         except IndexError:  # an id outside 0..n-1
             raise InvalidNetworkError(validate(Digraph(num_vertices, edge_tuple, labels))) from None
-        self._build(kids, pars, edge_tuple, labels)
+        self._build(kids, pars, labels)
 
     @classmethod
-    def from_lists(cls, children: list, parents: list, edges: Sequence[Edge],
-                   leaf_labels: dict[int, str]) -> PhyloNetwork:
+    def from_lists(cls, children: list, parents: list, leaf_labels: dict[int, str]) -> PhyloNetwork:
         """The network whose vertex v has the children ``children[v]`` and
-        the parents ``parents[v]``, with the arcs ``edges`` in the order
-        ``net.edges`` keeps, and the label map ``leaf_labels``.
+        the parents ``parents[v]``, with the label map ``leaf_labels``.
 
-        For producers that hold the lists: nothing checks that they agree
-        with ``edges`` or that their ids lie in ``0..n-1``, so a caller
-        must build them so.  The network takes the lists and the label map
-        over.  An entry may be a list or a tuple; a two-entry list is sorted
-        in place, so a two-entry tuple must already be ascending."""
+        For producers that hold the lists: nothing checks that the two
+        agree or that their ids lie in ``0..n-1``, so a caller must build
+        them so.  The network takes the lists and the label map over.  An
+        entry may be a list or a tuple; a two-entry list is sorted in
+        place, so a two-entry tuple must already be ascending."""
         net = cls.__new__(cls)
-        net._build(children, parents, edges, leaf_labels)
+        net._build(children, parents, leaf_labels)
         return net
 
-    def _build(self, kids: list, pars: list, edges: Sequence[Edge], labels: dict[int, str]) -> None:
+    def _build(self, kids: list, pars: list, labels: dict[int, str]) -> None:
         """The construction core: accept the lists or raise, then fill the
         fields."""
-        accepted = _accept(kids, pars, not edges, labels)
+        accepted = _accept(kids, pars, labels)
         if accepted is None:
-            raise InvalidNetworkError(validate(Digraph(len(kids), tuple(edges), labels)))
+            arcs = tuple((u, v) for u, vs in enumerate(kids) for v in vs)
+            raise InvalidNetworkError(validate(Digraph(len(kids), arcs, labels)))
         self.root, self.in_degree, self.leaves = accepted
         n = self.num_vertices = len(kids)
-        self.edges = tuple(edges)
         self.leaf_labels = MappingProxyType(labels)
         self.children = tuple(map(tuple, kids))
         self.parents = tuple(map(tuple, pars))
@@ -287,6 +287,12 @@ class PhyloNetwork:
         self._by_label = {name: v for v, name in labels.items()}
         self._order: tuple[int, ...] | None = None
         self._trails = self._temporal = None
+
+    @property
+    def edges(self) -> tuple[Edge, ...]:
+        """Every arc (u, v), in ascending order, read off the child lists
+        on each access."""
+        return tuple((u, v) for u, vs in enumerate(self.children) for v in vs)
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -320,16 +326,25 @@ class PhyloNetwork:
                 f"reticulations={len(self.reticulations)})")
 
 
+def attach_leaves(net: PhyloNetwork, edges: Sequence[Edge], labels: Sequence[str]) -> PhyloNetwork:
+    """Replace the i-th of ``edges``, an arc (u, v) of ``net``, by u -> s ->
+    v, with a fresh vertex s = n + 2i, and hang a new leaf s + 1 with the
+    i-th of ``labels`` off s; the result is built once."""
+    kids, pars = list(net.children), list(net.parents)
+    leaf_labels = dict(net.leaf_labels)
+    for (u, v), label in zip(edges, labels, strict=True):
+        s = len(kids)  # exceeds every id before it: each spliced tuple stays ascending
+        if not (0 <= u < net.num_vertices and v in kids[u]):
+            raise ValueError(f"({u}, {v}) is not an edge of the network")
+        kids[u] = tuple(w for w in kids[u] if w != v) + (s,)
+        pars[v] = tuple(p for p in pars[v] if p != u) + (s,)
+        kids += ((v, s + 1), ())
+        pars += ((u,), (s,))
+        leaf_labels[s + 1] = label
+    return PhyloNetwork.from_lists(kids, pars, leaf_labels)
+
+
 def attach_leaf(net: PhyloNetwork, edge: Edge, label: str) -> PhyloNetwork:
-    """Replace ``edge`` (u, v) by u -> s -> v in place, with a fresh vertex
-    s = n, and hang a new leaf n + 1 with ``label`` off s."""
-    u, v = edge
-    try:
-        i = net.edges.index((u, v))
-    except ValueError:
-        raise ValueError(f"({u}, {v}) is not an edge of the network") from None
-    s = net.num_vertices
-    labels = dict(net.leaf_labels)
-    labels[s + 1] = label
-    edges = net.edges[:i] + ((u, s), (s, v)) + net.edges[i + 1:] + ((s, s + 1),)
-    return PhyloNetwork(edges, labels, s + 2)
+    """Replace ``edge`` (u, v) by u -> s -> v, with a fresh vertex s = n,
+    and hang a new leaf n + 1 with ``label`` off s."""
+    return attach_leaves(net, (edge,), (label,))

@@ -18,16 +18,16 @@ each path start hung below a parent, a spanning tree realizing ``l``; the
 unmatched vertices with out-edges, that tree's unlabeled leaves, give a
 completion realizing ``t``; and its first W-fence is the failure witness.
 Each network is walked once: the walk is kept on the network, and every
-later query on it reads the kept walk.  The completion writes its edge list
-in one pass and builds once.
+later query on it reads the kept walk.  The completion attaches all its
+leaves with one :func:`~tbnet.network.attach_leaves`, which builds once.
 """
 
 from __future__ import annotations
 
-from itertools import compress, count
+from itertools import count
 from typing import NamedTuple, Union
 
-from .network import Edge, PhyloNetwork
+from .network import Edge, PhyloNetwork, attach_leaves
 
 
 class PathPartition(NamedTuple):
@@ -258,10 +258,9 @@ def tree_based_completion(net: PhyloNetwork) -> CompletionResult:
     adds exactly ``t`` leaves, labeled ``attached_1``, ``attached_2``, ...
     in ascending order of the subdivided edge's tail, skipping every label
     the input already uses.
-    The i-th edge (u, v) becomes (u, s), (s, v) in place and (s, s + 1) is
-    appended, with s = n + 2i: the ids and edge order of :func:`attach_leaf`
-    applied edge by edge, built once from the input's child and parent
-    lists with s spliced in.  With nothing to attach, ``net`` is returned.
+    The i-th edge (u, v) becomes u -> s -> v with the new leaf s + 1, where
+    s = n + 2i: :func:`~tbnet.network.attach_leaves` splices all of them
+    and builds once.  With nothing to attach, ``net`` is returned.
     """
     succ = zigzag_trails(net)[0]
     out_degree = net.out_degree
@@ -270,29 +269,7 @@ def tree_based_completion(net: PhyloNetwork) -> CompletionResult:
         return CompletionResult(network=net, attached_edges=(), labels=())
     used = set(net.leaf_labels.values())
     fresh = (name for name in (f"attached_{i}" for i in count(1)) if name not in used)
-    n = net.num_vertices
     attached = tuple((v, net.children[v][0]) for v in stuck)
     labels = tuple(next(fresh) for _ in stuck)
-    leaf_labels = dict(net.leaf_labels)
-    # s exceeds every id before it, so each spliced tuple stays ascending
-    kids, pars = list(net.children), list(net.parents)
-    middle = {}
-    for s, (u, v), label in zip(count(n, 2), attached, labels):
-        middle[u, v] = s
-        kids[u] = kids[u][1:] + (s,)  # v is u's smallest child
-        pars[v] = tuple(p for p in pars[v] if p != u) + (s,)
-        kids += ((v, s + 1), ())
-        pars += ((u,), (s,))
-        leaf_labels[s + 1] = label
-    edges: list[Edge] = []
-    start = 0
-    for i in compress(count(), map(middle.__contains__, net.edges)):
-        u, v = e = net.edges[i]
-        s = middle[e]
-        edges += net.edges[start:i]
-        edges += ((u, s), (s, v))
-        start = i + 1
-    edges += net.edges[start:]
-    edges += [(s, s + 1) for s in middle.values()]
-    return CompletionResult(network=PhyloNetwork.from_lists(kids, pars, edges, leaf_labels),
+    return CompletionResult(network=attach_leaves(net, attached, labels),
                             attached_edges=attached, labels=labels)

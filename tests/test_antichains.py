@@ -9,6 +9,7 @@ from tbnet import (
     TemporalMap,
     antichain_to_leaf,
     deviation_indices,
+    export_dot,
     generate,
     has_antichain_to_leaf_property,
     is_antichain,
@@ -248,6 +249,7 @@ def test_answers_ignore_arc_order():
         if net.num_vertices > 18:
             continue
         rev = PhyloNetwork(tuple(reversed(net.edges)), net.leaf_labels, net.num_vertices)
+        assert rev.edges == net.edges and export_dot(rev) == export_dot(net)
         for antichain in maximal_antichains(net):
             assert antichain_to_leaf(rev, antichain) == antichain_to_leaf(net, antichain)
             checked += 1

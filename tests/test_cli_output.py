@@ -33,10 +33,10 @@ PINS = {
     "antichain --set 0": "984388d5df36bdfa8a4ac7b8033ca3629e8706bd84543290b789c24aaf9b831b",
     "antichain --set 0,1": "410188ee2578438815b25e77c5060606e910ff4f84d09b97b20fa2dbaa0d193b",
     "antichain --check-property": "1562ab974ea5efdd1a96bbc95fd037bad665792100fe7c5a6c91fe61b349b8f8",
-    "check --dot out.dot": "d2fedc53f8ce05ccd79df2fe63f1c53ce1a43879c15135c1722db9e65e1f7025",
-    "paths --dot out.dot": "f2bbc39f51ad02de515b54a93763b876fb01562f84a84b96024b61b771ac324e",
-    "spanning-tree --dot out.dot": "b17886e6d07cc3424067d8cb52094176424871110ef62128434bf86a97e3cd82",
-    "complete --dot out.dot": "4377eefe15ab5dd0651f6be95bf9c4b9b1556f5fc9d8fd0c24860beb5adaf36a",
+    "check --dot out.dot": "f7f49b4301bdf7692815f9412b2e2c3894c82137034379ba5e56ac5ff46eda80",
+    "paths --dot out.dot": "6721689a43c98c56155504cf51bf12a7ca905ea70ecd03c7f5488bdcffa7d31a",
+    "spanning-tree --dot out.dot": "bcba0400a471674811b2dcf593d61b03a00a9197932e2b202317b4bb31d88e47",
+    "complete --dot out.dot": "5be9a39c957fc78f7a9788ffadf73bd332cd6950c17de45d90ba1933b53a1ab3",
     "complete --out out.nwk": "491054ec08861aa54cbbb9a16d7497d85cbd605b0a73c6ee1737a0f69a5167c3",
     "complete --out out.edges": "9c9559e0598aafcd0f2f3ccaea876493384f14f20e528519a2f038c9dfe5a1bd",
 }

@@ -142,13 +142,14 @@ def test_every_traced_name_resolves():
 
 
 def test_antichain_answers_read_no_arc_list():
-    # the antichain queries read the adjacency construction built; an answer
-    # read off the arc list would depend on the order of the input's lines
-    with open(importlib.import_module("tbnet.antichains").__file__) as source:
-        tree = ast.parse(source.read())
-    reads = [node.lineno for node in ast.walk(tree)
-             if isinstance(node, ast.Attribute) and node.attr == "edges"]
-    assert not reads, f"antichains.py reads .edges on lines {reads}"
+    # the antichain and tree-based queries read the adjacency construction
+    # built; a read of .edges rebuilds every arc, O(m) tuples, on each access
+    for module in ("antichains", "treebased"):
+        with open(importlib.import_module(f"tbnet.{module}").__file__) as source:
+            tree = ast.parse(source.read())
+        reads = [node.lineno for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and node.attr == "edges"]
+        assert not reads, f"{module}.py reads .edges on lines {reads}"
 
 
 def test_each_stored_structure_is_filled_by_one_module():

@@ -98,6 +98,17 @@ def test_an_edge_that_is_not_a_pair_is_refused():
         PhyloNetwork(((0, 1, 2), (0, 2)), {1: "a", 2: "b"}, 3)
 
 
+def test_validate_report_ignores_arc_order():
+    # self-loops, parallel pairs and out-of-range arcs are reported in
+    # ascending arc order, whatever order the arcs are listed in
+    arcs = ((0, 1), (2, 2), (0, 0), (1, 3), (1, 3), (0, 4), (3, 7), (0, 1))
+    loopless = tuple(e for e in arcs if e[0] != e[1])
+    for n, edges in ((4, arcs), (8, arcs), (8, loopless)):
+        report = validate(Digraph(n, edges, {}))
+        assert report == validate(Digraph(n, edges[::-1], {})), report.summary()
+        assert len(report.violations) >= 2
+
+
 def test_invalid_network_error_carries_report():
     with pytest.raises(InvalidNetworkError) as err:
         PhyloNetwork(((0, 1), (0, 1)), {1: "a"}, 2)
@@ -108,15 +119,19 @@ def test_subdivide_edge_shape():
     net = PhyloNetwork(*TWO_LEAF)
     out = attach_leaf(net, (0, 1), "c")
     s = net.num_vertices
-    assert out.edges == ((0, s), (s, 1), (0, 2), (s, s + 1))
+    assert out.edges == ((0, 2), (0, s), (s, 1), (s, s + 1))
     assert (out.parents[s], out.children[s]) == ((0,), (1, s + 1))
     assert out.leaf_labels[s + 1] == "c"
 
 
 def test_subdivide_unknown_edge():
+    # a tail out of range is refused, not wrapped around to the last
+    # vertex, which is the root (-1, 1) would name in the second network
     net = PhyloNetwork(*TWO_LEAF)
-    with pytest.raises(ValueError, match="not an edge"):
-        attach_leaf(net, (1, 2), "c")
+    last_root = PhyloNetwork(((2, 0), (2, 1)), {0: "a", 1: "b"}, 3)
+    for graph, edge in ((net, (1, 2)), (net, (5, 1)), (last_root, (-1, 1))):
+        with pytest.raises(ValueError, match="not an edge"):
+            attach_leaf(graph, edge, "c")
 
 
 def test_attach_leaf_counts():
@@ -263,7 +278,7 @@ def test_construction_accepts_exactly_what_validate_accepts():
                 kids[u].append(v)
                 pars[v].append(u)
             try:
-                built["lists"] = PhyloNetwork.from_lists(kids, pars, edges, dict(labels))
+                built["lists"] = PhyloNetwork.from_lists(kids, pars, dict(labels))
             except InvalidNetworkError as err:
                 assert err.report == report and not report.ok, (n, edges, labels)
             else:
