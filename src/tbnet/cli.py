@@ -278,8 +278,9 @@ def cmd_complete(args, net: PhyloNetwork) -> Answer:
 
 
 def _resolve_vertices(net: PhyloNetwork, spec: str) -> tuple[int, ...]:
-    """Tokens are leaf labels when they match one, else integer ids; a
-    repeated vertex is kept once, where it first appears."""
+    """Tokens are leaf labels when they match one, else ids written in
+    ASCII decimal digits only; a repeated vertex is kept once, where it
+    first appears."""
     out = []
     for token in spec.split(","):
         token = token.strip()
@@ -288,10 +289,10 @@ def _resolve_vertices(net: PhyloNetwork, spec: str) -> tuple[int, ...]:
         try:
             vid = net.vertex_by_label(token)
         except KeyError:
-            try:
-                vid = int(token)
-            except ValueError:
+            # int() would also read "1_0", "+3" and non-ASCII digits
+            if not (token.isascii() and token.isdigit()):
                 raise CliError(f"unknown vertex {token!r}") from None
+            vid = int(token)
             if not 0 <= vid < net.num_vertices:
                 raise CliError(f"vertex id {vid} out of range")
         out.append(vid)

@@ -36,7 +36,10 @@ def parse_edgelist(text: str) -> PhyloNetwork:
             raise ParseError("expected 'parent child'", text, offset)
     if not ids:
         raise ParseError("empty input", text, 0)
+    # Drop the scratch once read, so the network is built beside none of it.
+    del lines
     kids, pars = _adjacency(len(ids), edges)
+    del edges
     labels = {vid: tok for tok, vid in ids.items() if not kids[vid]}
     return PhyloNetwork.from_lists(kids, pars, labels)
 

@@ -167,7 +167,10 @@ def parse_enewick(text: str) -> PhyloNetwork:
                 f"hybrid tag {tag} appears {uses} time(s); a reticulation needs exactly 2")
         if tag not in hybrid_defined:
             raise _error_at(text, end, f"hybrid tag {tag} never given a subtree")
+    # Drop the scratch once read, so the network is built beside none of it.
+    del tokens
     kids, pars = _adjacency(n, edges)
+    del edges
     return PhyloNetwork.from_lists(kids, pars, labels)
 
 

@@ -6,9 +6,12 @@ the new midpoints.  Acyclicity is guaranteed by a monotone potential: every
 vertex carries a rank (integer depth for tree growth, dyadic rationals for
 subdivision midpoints) and every edge runs from lower to higher rank, so the
 connecting edge is always oriented rank-upward and can never close a cycle.
-A rank is held exactly as an integer pair ``(m, e)`` meaning ``m / 2**e``;
-two ranks are compared after shifting to a common exponent.  Insertion is
-O(1) per reticulation, which keeps million-edge generation practical.
+A rank is held exactly as ``m / 2**e``, its numerators ``m`` and exponents
+``e`` in two int lists indexed by vertex; two ranks are compared after
+shifting to a common exponent.  The arcs are two more int lists, tails and
+heads.  Each leaf attachment and each reticulation is one inlined step of
+one loop, O(1) and with no call but the draw, which keeps million-edge
+generation practical.
 
 ``generate`` refuses any shape with more than ``MAX_VERTICES`` vertices
 before it allocates anything.
@@ -22,6 +25,8 @@ here.
 
 from __future__ import annotations
 
+from itertools import compress, count
+from operator import not_
 from typing import NamedTuple
 
 from .network import PhyloNetwork, _adjacency
@@ -29,8 +34,9 @@ from .network import PhyloNetwork, _adjacency
 _MASK64 = (1 << 64) - 1
 
 # The most vertices (2L + 2R - 1) ``generate`` builds: twice the largest
-# size the roadmap measures (10^6).  Generation peaks near 0.7 KB per vertex
-# (87 MB RSS at 10^5 on Python 3.11), so this is about 1.5 GB.
+# size the roadmap measures (10^6).  Generation peaks near 0.41 KB per
+# vertex (``tracemalloc``), and ``tbnet gen`` at 57 MB RSS at 10^5 and
+# 430 MB at 10^6 (Python 3.11), so this is about 0.9 GB.
 MAX_VERTICES = 2_000_000
 # How many seeds ``generate`` tries for a temporal network before it gives up.
 TEMPORAL_ATTEMPTS = 400
@@ -72,96 +78,80 @@ class GenSpec(NamedTuple):
     temporal_only: bool = False
 
 
-def _scaled(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int, int]:
-    """Numerators of ranks ``a`` and ``b`` over their common exponent."""
-    (m, e), (k, f) = a, b
-    if e < f:
-        return m << (f - e), k, f
-    return m, k << (e - f), e
-
-
-def _mid(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
-    m, k, e = _scaled(a, b)
-    return m + k, e + 1
-
-
-class _Builder:
-    """Mutable edge-array construction; only the finished result is wrapped
-    into an immutable network.  ``rank[v]`` is the pair ``(m, e)`` for the
-    dyadic rank ``m / 2**e``."""
-
-    def __init__(self):
-        self.edges: list[tuple[int, int]] = []
-        self.rank: list[tuple[int, int]] = []
-
-    def add_vertex(self, rank: tuple[int, int]) -> int:
-        self.rank.append(rank)
-        return len(self.rank) - 1
-
-    def _midpoint(self, edge_index: int) -> tuple[int, int]:
-        u, v = self.edges[edge_index]
-        return _mid(self.rank[u], self.rank[v])
-
-    def subdivide(self, edge_index: int) -> int:
-        u, v = self.edges[edge_index]
-        s = self.add_vertex(self._midpoint(edge_index))
-        self.edges[edge_index] = (u, s)
-        self.edges.append((s, v))
-        return s
-
-    def attach_leaf(self, edge_index: int) -> int:
-        s = self.subdivide(edge_index)
-        m, e = self.rank[s]
-        leaf = self.add_vertex((m + (1 << e), e))
-        self.edges.append((s, leaf))
-        return leaf
-
-    def add_reticulation(self, i: int, j: int) -> None:
-        """Subdivide edges i and j and connect the midpoints rank-upward."""
-        mi, mj, _ = _scaled(self._midpoint(i), self._midpoint(j))
-        if mj < mi:
-            i, j = j, i
-        u1 = self.edges[i][0]
-        v2 = self.edges[j][1]
-        s1 = self.subdivide(i)
-        s2 = self.subdivide(j)
-        if mi == mj:
-            # Same midpoint rank: nudge the two into strict order inside
-            # their own intervals (donor low quartile, receiver high).
-            rank = self.rank
-            rank[s1] = _mid(rank[u1], rank[s1])
-            rank[s2] = _mid(rank[s2], rank[v2])
-        self.edges.append((s1, s2))
-
-
 def _build(rng: SplitMix64, num_leaves: int, num_reticulations: int) -> PhyloNetwork:
-    b = _Builder()
-    retics_left = num_reticulations
+    """Grow the network on four flat lists: arc tails and heads, and each
+    vertex's rank as the numerator and exponent of ``m / 2**e``.  Arc k
+    keeps its index when it is subdivided, which is what the draws pick."""
+    draw = rng.next_u64
     if num_leaves == 1:
         # Smallest one-leaf shape has two reticulations: root -> {a, r1},
         # a -> {r1, r2}, r1 -> r2 -> leaf.
-        for r in (0, 1, 2, 3, 4):
-            b.add_vertex((r, 0))
-        b.edges = [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (3, 4)]
-        retics_left -= 2
+        tails, heads = [0, 0, 1, 1, 2, 3], [1, 2, 2, 3, 3, 4]
+        nums, exps = [0, 1, 2, 3, 4], [0] * 5
+        num_reticulations -= 2
     else:
-        root = b.add_vertex((0, 0))
-        for _ in range(2):
-            b.edges.append((root, b.add_vertex((1, 0))))
-        for _ in range(num_leaves - 2):
-            b.attach_leaf(rng.randrange(len(b.edges)))
-    for _ in range(retics_left):
-        i = rng.randrange(len(b.edges))
-        j = rng.randrange(len(b.edges) - 1)
+        tails, heads = [0, 0], [1, 2]
+        nums, exps = [0, 1, 1], [0, 0, 0]
+    # A tree on m arcs has m + 1 vertices: the midpoint s of arc k takes
+    # id m + 1 and its new leaf, one rank above s, id m + 2.  Each id is
+    # made once, so every list holds the same int object.
+    for m in range(2, 2 * num_leaves - 2, 2):
+        k = (draw() * m) >> 64
+        s = m + 1
+        u, v = tails[k], heads[k]
+        a, e, b, f = nums[u], exps[u], nums[v], exps[v]
+        if e < f:
+            a, e = (a << (f - e)) + b, f + 1
+        else:
+            a, e = a + (b << (e - f)), e + 1
+        nums += (a, a + (1 << e))
+        exps += (e, e)
+        heads[k] = s
+        tails += (s, s)
+        heads += (v, s + 1)
+    # A reticulation subdivides arcs i and j of the m arcs, each at its
+    # midpoint, and joins the lower midpoint s to the higher t.
+    first = len(tails)
+    for m in range(first, first + 3 * num_reticulations, 3):
+        i = (draw() * m) >> 64
+        j = (draw() * (m - 1)) >> 64
         if j >= i:
             j += 1
-        b.add_reticulation(i, j)
-
-    kids, pars = _adjacency(len(b.rank), b.edges)
-    labels = {}
-    for v, ws in enumerate(kids):
-        if not ws:
-            labels[v] = f"x{len(labels) + 1}"
+        u, v, w, x = tails[i], heads[i], tails[j], heads[j]
+        a, e, b, f = nums[u], exps[u], nums[v], exps[v]
+        if e < f:
+            a, e = (a << (f - e)) + b, f + 1
+        else:
+            a, e = a + (b << (e - f)), e + 1
+        c, g, b, f = nums[w], exps[w], nums[x], exps[x]
+        if g < f:
+            c, g = (c << (f - g)) + b, f + 1
+        else:
+            c, g = c + (b << (g - f)), g + 1
+        ri, rj = (a, c << (e - g)) if g < e else (a << (g - e), c)
+        if rj < ri:
+            i, j, u, v, w, x, a, e, c, g = j, i, w, x, u, v, c, g, a, e
+        s = len(nums)
+        t = s + 1
+        if ri == rj:
+            # Same midpoint rank: nudge the two into strict order inside
+            # their own intervals (donor low quartile, receiver high).
+            b, f = nums[u], exps[u]
+            a, e = ((a << (f - e)) + b, f + 1) if e < f else (a + (b << (e - f)), e + 1)
+            b, f = nums[x], exps[x]
+            c, g = ((c << (f - g)) + b, f + 1) if g < f else (c + (b << (g - f)), g + 1)
+        nums += (a, c)
+        exps += (e, g)
+        heads[i], heads[j] = s, t
+        tails += (s, t, s)
+        heads += (v, x, t)
+    # Each list goes once it is read, so the network is built beside none
+    # of them.
+    n = len(nums)
+    del nums, exps
+    kids, pars = _adjacency(n, zip(tails, heads))
+    del tails, heads
+    labels = dict(zip(compress(count(), map(not_, kids)), map("x{}".format, count(1))))
     return PhyloNetwork.from_lists(kids, pars, labels)
 
 

@@ -1,6 +1,8 @@
+import gc
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -16,6 +18,22 @@ def run_python(*args: str, stdin: bytes | None = None) -> subprocess.CompletedPr
     src = str(Path(tbnet.__file__).resolve().parents[1])
     return subprocess.run([sys.executable, *args], input=stdin, capture_output=True,
                           env={**os.environ, "PYTHONPATH": src})
+
+
+def peak_ratio(build) -> float:
+    """The ``tracemalloc`` peak of ``build()`` over the memory its result
+    holds, so a bound on it holds across Python versions.  One warm-up
+    call first, so lazy imports and caches count for neither."""
+    build()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = build()  # alive while its memory is read
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return (peak - base) / (held - base)
 
 
 def load_fixture(name: str):

@@ -341,6 +341,13 @@ def test_antichain_set_unknown_vertex(capsys):
     assert "unknown vertex" in err
 
 
+@pytest.mark.parametrize("token", ["1_0", "+3", "\u0663", "-1"])
+def test_antichain_set_reads_only_ascii_decimal_ids(capsys, token):
+    # int() reads each of these as a number; none is a label or a plain id
+    code, out, err = run(capsys, "antichain", "--set", token, fixture_path("diamond.nwk"))
+    assert (code, out, err) == (2, "", f"error: unknown vertex {token!r}\n")
+
+
 def test_antichain_property_strategies(capsys):
     code, env, _ = run_json(capsys, "antichain", fixture_path("killer.edges"),
                             "--check-property")
