@@ -7,9 +7,11 @@ and out-degree 1.  A single labeled vertex (no edges) is allowed as the
 one-leaf degenerate case.
 
 Vertices are dense non-negative integers ``0..n-1``.  Construction takes
-the child and parent lists, built once by whoever holds the graph, and
-accepts a valid graph with a few whole-graph tests; only a rejected graph
-runs the full pass of :func:`validate`, which names every broken rule.
+the child and parent lists, built once by whoever holds the graph.  Each
+rule is checked in one place: the arc pass that builds lists from arcs
+refuses ids out of range and self-loops, and one check on the lists runs a
+whole-graph test per remaining rule, listing violations only for a rule
+whose test fails.  :func:`validate` runs the same two.
 The network keeps no arc list: ``edges`` is read off the child lists, in
 ascending order, so no answer depends on the order the input listed its
 arcs in.  The topological order, the zig-zag trail walk and the temporal
@@ -34,7 +36,8 @@ Edge = tuple[int, int]
 # so a valid network never silently breaks a round trip.
 LABEL_RE = re.compile(r"[A-Za-z0-9_.+|-]+")
 # Labels joined by newlines, which the lexicon excludes: one match checks
-# them all.
+# them all, once the newlines are counted, so a label with one inside it
+# cannot pass for two.
 _LABELS_RE = re.compile(rf"{LABEL_RE.pattern}(?:\n{LABEL_RE.pattern})*")
 # Degree signatures (in, out) of the root, a leaf, a tree vertex and a
 # reticulation.
@@ -86,13 +89,28 @@ def validate(graph: Digraph) -> ValidationReport:
     out-degree-0 vertices, drawn from the lexicon every serializer accepts.
     """
     n, edges, leaf_labels = graph
-    edges = sorted(edges)  # the report does not depend on arc order
     if n <= 0:
         return ValidationReport(False, (Violation("empty", (), "network has no vertices"),))
+    kids, pars, bad = _arc_lists(n, sorted(edges))  # the report does not depend on arc order
+    return ValidationReport(False, tuple(bad)) if bad else _check(kids, pars, leaf_labels)[1]
 
-    bad: list[Violation] = []
-    kids: list[list[int]] = [[] for _ in range(n)]
-    pars: list[list[int]] = [[] for _ in range(n)]
+
+def _adjacency(n: int, edges: Iterable[Edge]) -> tuple[list[list[int]], list[list[int]]]:
+    """The child and parent lists of the arcs ``edges`` on ``n`` vertices,
+    in arc order, for producers whose ids are dense by construction.  An id
+    of n or more raises IndexError; a negative id is not caught."""
+    kids, pars = [[] for _ in range(n)], [[] for _ in range(n)]
+    for u, v in edges:
+        kids[u].append(v)
+        pars[v].append(u)
+    return kids, pars
+
+
+def _arc_lists(n: int, edges: Iterable[Edge]) -> tuple[list[list[int]], list[list[int]], list[Violation]]:
+    """The child and parent lists of the arcs ``edges`` on ``n`` vertices,
+    in arc order, and the arc rules' violations: an id outside 0..n-1 or a
+    self-loop, each left out of the lists."""
+    kids, pars, bad = [[] for _ in range(n)], [[] for _ in range(n)], []
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
             bad.append(Violation("vertex-range", (u, v), f"edge ({u}, {v}) references a vertex outside 0..{n - 1}"))
@@ -101,125 +119,87 @@ def validate(graph: Digraph) -> ValidationReport:
         else:
             kids[u].append(v)
             pars[v].append(u)
-    if bad:
-        return ValidationReport(False, tuple(bad))
-
-    if len(set(edges)) != len(edges):
-        seen: set[Edge] = set()
-        for e in edges:
-            if e in seen:
-                bad.append(Violation("parallel-edge", e, f"parallel edge ({e[0]}, {e[1]})"))
-            seen.add(e)
-
-    indeg = [len(ws) for ws in pars]
-    roots = [v for v in range(n) if not indeg[v]]
-    if _kahn_count(kids, indeg, roots) != n:
-        bad.append(Violation("cycle", (), "graph contains a directed cycle"))
-
-    if len(roots) != 1:
-        bad.append(Violation("root-count", tuple(roots), f"expected exactly one in-degree-0 vertex, found {len(roots)}"))
-
-    single = n == 1 and not edges
-    for v in range(n):
-        sig = (len(pars[v]), len(kids[v]))
-        if single and sig == (0, 0):
-            continue
-        if sig not in _SIGNATURES:
-            bad.append(Violation("degree", (v,), f"vertex {v} has degree signature in={sig[0]}, out={sig[1]}"))
-
-    sinks = {v for v in range(n) if not kids[v]}
-    labeled = set(leaf_labels)
-    for v in sorted(labeled - sinks):
-        bad.append(Violation("label-not-leaf", (v,), f"label on vertex {v}, which has out-edges"))
-    for v in sorted(sinks - labeled):
-        bad.append(Violation("unlabeled-leaf", (v,), f"leaf {v} has no label"))
-    by_label: dict[str, int] = {}
-    for v in sorted(labeled):
-        name = leaf_labels[v]
-        if not isinstance(name, str) or not LABEL_RE.fullmatch(name):
-            bad.append(Violation("bad-label", (v,), f"leaf {v} has an unusable label {name!r}"))
-            continue
-        if name in by_label:
-            bad.append(Violation("duplicate-label", (by_label[name], v), f"label {name!r} used by vertices {by_label[name]} and {v}"))
-        by_label[name] = v
-
-    return ValidationReport(not bad, tuple(bad))
+    return kids, pars, bad
 
 
-def _kahn_count(kids: Sequence[Sequence[int]], indeg: list[int], roots: Iterable[int]) -> int:
-    """How many vertices Kahn's algorithm pops from ``roots``, the
-    vertices of in-degree 0: all of them exactly when the graph is acyclic.
-    Consumes ``indeg``."""
-    stack = list(roots)
-    popped = 0
-    while stack:
-        popped += 1
-        for w in kids[stack.pop()]:
-            indeg[w] -= 1
-            if not indeg[w]:
-                stack.append(w)
-    return popped
-
-
-def _adjacency(n: int, edges: Iterable[Edge]) -> tuple[list[list[int]], list[list[int]]]:
-    """The child and parent lists of the arcs ``edges`` on ``n`` vertices,
-    in arc order.  An id of n or more raises IndexError; a caller whose ids
-    may be negative must refuse them first."""
-    kids: list[list[int]] = [[] for _ in range(n)]
-    pars: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edges:
-        kids[u].append(v)
-        pars[v].append(u)
-    return kids, pars
-
-
-def _accept(kids: list, pars: list, labels: Mapping[int, str]):
-    """The root, the in-degrees and the sinks when the child lists ``kids``
-    and parent lists ``pars`` with ``labels`` form a valid network, else
-    None; sorts every two-entry list in place.  Accepts exactly what
-    :func:`validate` accepts, with whole-graph tests in place of its
-    per-vertex reports: with every signature allowed, a repeated child is
-    a parallel edge and a self-loop is a cycle."""
+def _check(kids: list, pars: list, labels: Mapping[int, str]):
+    """The graph rules on the child lists ``kids`` and parent lists ``pars``
+    with ``labels``: ``(root, in_degree, sinks)``, or None, and the report,
+    which names a self-loop as a cycle.  Each rule runs one whole-graph
+    test, and only a rule whose test fails lists its violations.  Sorts
+    every two-entry list in place.  With every signature allowed no list
+    is longer than 2, so a repeated child in a two-entry list is the only
+    parallel edge there can be."""
     n = len(kids)
     ins, outs = list(map(len, pars)), list(map(len, kids))
-    if not n or not set(zip(ins, outs)) <= _SIGNATURES and not (n == 1 and not kids[0]):
-        return None
-    if ins.count(0) != 1:
-        return None
+    signatures_ok = set(zip(ins, outs)) <= _SIGNATURES or n == 1 and not kids[0]
+    repeated = False
     for ws in kids:
         if len(ws) == 2 and ws[0] >= ws[1]:
             if ws[0] == ws[1]:
-                return None
-            ws.reverse()
+                repeated = True
+            else:
+                ws.reverse()
     for ws in pars:
         if len(ws) == 2 and ws[0] > ws[1]:
             ws.reverse()
-    root = ins.index(0)
+    bad: list[Violation] = []
+    if repeated or not signatures_ok:
+        for u, ws in enumerate(kids):
+            ws = sorted(ws)
+            bad += [Violation("parallel-edge", (u, v), f"parallel edge ({u}, {v})")
+                    for v, w in zip(ws[1:], ws) if v == w]
+    roots = (ins.index(0),) if ins.count(0) == 1 else tuple(compress(range(n), map(not_, ins)))
     in_degree = tuple(ins)
-    if _kahn_count(kids, ins, (root,)) != n:
-        return None
+    stack, popped = list(roots), 0  # Kahn's algorithm: it pops every vertex exactly when acyclic
+    while stack:
+        popped += 1
+        for w in kids[stack.pop()]:
+            ins[w] -= 1
+            if not ins[w]:
+                stack.append(w)
+    if popped != n:
+        bad.append(Violation("cycle", (), "graph contains a directed cycle"))
+    if len(roots) != 1:
+        bad.append(Violation("root-count", roots, f"expected exactly one in-degree-0 vertex, found {len(roots)}"))
+    if not signatures_ok:
+        bad += [Violation("degree", (v,), f"vertex {v} has degree signature in={i}, out={o}")
+                for v, (i, o) in enumerate(zip(in_degree, outs)) if (i, o) not in _SIGNATURES]
     sinks = tuple(compress(range(n), map(not_, outs)))
     names = list(labels.values())
     try:
-        if not _LABELS_RE.fullmatch("\n".join(names)):
-            return None
+        text = "\n".join(names)
     except TypeError:  # a label that is not a string
-        return None
-    if len(set(names)) != len(names) or labels.keys() != set(sinks):
-        return None
-    return root, in_degree, sinks
+        text = ""
+    if not (_LABELS_RE.fullmatch(text) and text.count("\n") == len(names) - 1
+            and len(set(names)) == len(names) and labels.keys() == set(sinks)):
+        leaves, labeled = set(sinks), set(labels)
+        bad += [Violation("label-not-leaf", (v,), f"label on vertex {v}, which has out-edges")
+                for v in sorted(labeled - leaves)]
+        bad += [Violation("unlabeled-leaf", (v,), f"leaf {v} has no label") for v in sorted(leaves - labeled)]
+        by_label: dict[str, int] = {}
+        for v in sorted(labeled):
+            name = labels[v]
+            if not isinstance(name, str) or not LABEL_RE.fullmatch(name):
+                bad.append(Violation("bad-label", (v,), f"leaf {v} has an unusable label {name!r}"))
+                continue
+            if name in by_label:
+                bad.append(Violation("duplicate-label", (by_label[name], v),
+                                     f"label {name!r} used by vertices {by_label[name]} and {v}"))
+            by_label[name] = v
+    return (None if bad else (roots[0], in_degree, sinks)), ValidationReport(not bad, tuple(bad))
 
 
 class PhyloNetwork:
     """A validated rooted binary phylogenetic network.
 
-    Construction validates; invalid input raises :class:`InvalidNetworkError`.
-    One core, :meth:`from_lists`, takes the child and parent lists, runs a
-    short accept test and fills the fields; only a rejected graph is
-    explained by the full pass of :func:`validate`, whose report the error
-    carries.  ``PhyloNetwork(edges, leaf_labels)`` is its front end for an
-    arc list, which checks the ids; the readers, :func:`attach_leaves` and
-    the generator make dense int ids and call the core.  Instances are
+    Construction validates; invalid input raises :class:`InvalidNetworkError`
+    carrying the report of :func:`validate`.  One core, :meth:`from_lists`,
+    takes the child and parent lists, runs the one check of the graph rules
+    and fills the fields.  ``PhyloNetwork(edges, leaf_labels)`` is its
+    front end for an arc list, whose arc pass refuses ids out of range and
+    self-loops; the readers, :func:`attach_leaves` and the generator make
+    dense int ids and call the core.  Instances are
     immutable: adjacency tuples are computed at construction, the
     topological order on first use, and the label map is exposed read-only.
     ``_trails`` and ``_temporal`` keep the walk and the temporal test, which
@@ -247,12 +227,9 @@ class PhyloNetwork:
         if num_vertices is None:
             num_vertices = max(max(chain.from_iterable(edge_tuple), default=-1),
                                max(labels, default=-1)) + 1
-        try:
-            if min(chain.from_iterable(edge_tuple), default=0) < 0:
-                raise IndexError
-            kids, pars = _adjacency(num_vertices, edge_tuple)
-        except IndexError:  # an id outside 0..n-1
-            raise InvalidNetworkError(validate(Digraph(num_vertices, edge_tuple, labels))) from None
+        kids, pars, bad = _arc_lists(num_vertices, edge_tuple)
+        if bad:  # validate lists these in ascending arc order
+            raise InvalidNetworkError(validate(Digraph(num_vertices, edge_tuple, labels)))
         self._build(kids, pars, labels)
 
     @classmethod
@@ -272,8 +249,8 @@ class PhyloNetwork:
     def _build(self, kids: list, pars: list, labels: dict[int, str]) -> None:
         """The construction core: accept the lists or raise, then fill the
         fields."""
-        accepted = _accept(kids, pars, labels)
-        if accepted is None:
+        accepted = _check(kids, pars, labels)[0]
+        if accepted is None:  # from the arcs, validate names a self-loop in the lists as one
             arcs = tuple((u, v) for u, vs in enumerate(kids) for v in vs)
             raise InvalidNetworkError(validate(Digraph(len(kids), arcs, labels)))
         self.root, self.in_degree, self.leaves = accepted

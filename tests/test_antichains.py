@@ -169,8 +169,10 @@ def test_property_killer_holds_but_not_tree_based(killer):
 def test_property_mode_errors(killer):
     with pytest.raises(ValueError):
         has_antichain_to_leaf_property(killer, mode="temporal-shortcut")
-    big = generate(GenSpec(12, 4, seed=0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^unknown mode 'bogus'$"):
+        has_antichain_to_leaf_property(killer, mode="bogus")
+    big = generate(GenSpec(8, 4, seed=3))  # 23 vertices
+    with pytest.raises(ValueError, match=r"^exhaustive antichain check limited to 18 vertices \(got 23\)$"):
         has_antichain_to_leaf_property(big)
 
 

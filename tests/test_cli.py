@@ -348,6 +348,23 @@ def test_antichain_set_reads_only_ascii_decimal_ids(capsys, token):
     assert (code, out, err) == (2, "", f"error: unknown vertex {token!r}\n")
 
 
+def test_antichain_set_id_out_of_range(capsys):
+    code, out, err = run(capsys, "antichain", "--set", "99", fixture_path("diamond.nwk"))
+    assert (code, out, err) == (2, "", "error: vertex id 99 out of range\n")
+
+
+def test_exhaustive_property_check_refuses_an_oversize_network(capsys, tmp_path):
+    # gen --leaves 8 --retics 4 --seed 3 is not temporal, so the check takes
+    # the exhaustive route, which is bounded
+    target = tmp_path / "big.nwk"
+    code, _, _ = run(capsys, "gen", "--leaves", "8", "--retics", "4", "--seed", "3",
+                     "--out", str(target))
+    assert code == 0
+    code, out, err = run(capsys, "antichain", "--check-property", str(target))
+    assert (code, out) == (2, "")
+    assert err == "error: exhaustive antichain check limited to 18 vertices (got 23)\n"
+
+
 def test_antichain_property_strategies(capsys):
     code, env, _ = run_json(capsys, "antichain", fixture_path("killer.edges"),
                             "--check-property")
@@ -473,6 +490,15 @@ def test_a_stdout_path_without_json_writes_ahead_of_the_answer(capsys):
     assert (code, err) == (0, "")
     assert out.startswith("digraph network {")
     assert out.endswith("}\ntree-based: yes\nbase tree edges: 6\n")
+
+
+def test_complete_out_stdout_ends_the_network_with_a_newline(capsys):
+    # the eNewick text carries no newline of its own; the answer follows it
+    code, out, err = run(capsys, "complete", fixture_path("deviation_one.nwk"), "--out", "-")
+    assert (code, err) == (0, "")
+    first, summary, again, tail = out.split("\n")
+    assert (summary, again, tail) == ("attached 1 leaf(s)", first, "")
+    assert is_tree_based(parse_enewick(first))[0]
 
 
 # Runs ``python <argv>`` with its stdout a pipe whose reader is closed.

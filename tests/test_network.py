@@ -9,6 +9,7 @@ from tbnet import (
     InvalidNetworkError,
     PhyloNetwork,
     attach_leaf,
+    attach_leaves,
     generate,
     parse_edgelist,
     parse_enewick,
@@ -107,6 +108,21 @@ def test_validate_report_ignores_arc_order():
         report = validate(Digraph(n, edges, {}))
         assert report == validate(Digraph(n, edges[::-1], {})), report.summary()
         assert len(report.violations) >= 2
+
+
+def test_a_label_with_a_newline_inside_is_refused():
+    # joined by newlines for one match, "a\nb" reads as two good labels
+    tree = PhyloNetwork(*TWO_LEAF)
+    builds = [
+        (lambda: PhyloNetwork([(0, 1), (0, 2)], {1: "a\nb", 2: "c"}), 1, "a\nb"),
+        (lambda: PhyloNetwork.from_lists([[1, 2], [], []], [[], [0], [0]], {1: "a\nb", 2: "c"}), 1, "a\nb"),
+        (lambda: attach_leaves(tree, [(0, 1)], ["c\nd"]), 4, "c\nd"),
+    ]
+    for build, leaf, label in builds:
+        with pytest.raises(InvalidNetworkError) as info:
+            build()
+        assert info.value.report.violations == (
+            ("bad-label", (leaf,), f"leaf {leaf} has an unusable label {label!r}"),)
 
 
 def test_invalid_network_error_carries_report():
@@ -224,7 +240,8 @@ def _configuration_graph(rng):
 def _mutants(net, rng):
     """``net`` and copies with one arc replaced, duplicated, dropped or
     reversed, two arcs' heads swapped, vertex n - 1 written as -1, or one
-    label dropped, moved to the leaf's parent, made a number or duplicated."""
+    label dropped, moved to the leaf's parent, made a number, given a
+    newline inside or duplicated."""
     n, edges, labels = net.num_vertices, list(net.edges), dict(net.leaf_labels)
     yield n, edges, labels
     if not edges:
@@ -245,6 +262,7 @@ def _mutants(net, rng):
     yield n, edges, moved
     yield n, edges, {**moved, net.parents[leaves[0]][0]: labels[leaves[0]]}
     yield n, edges, {**moved, leaves[0]: 7}
+    yield n, edges, {**moved, leaves[0]: "a\nb"}
     if len(leaves) > 1:
         yield n, edges, {**labels, leaves[0]: labels[leaves[1]]}
 
@@ -256,8 +274,8 @@ def test_construction_accepts_exactly_what_validate_accepts():
         n = rng.randrange(-1, 6)
         edges = [(rng.randrange(-1, n + 1), rng.randrange(-1, n + 1))
                  for _ in range(rng.randrange(8))]
-        graphs.append((n, edges, {v: rng.choice(("a", "b", "c d", 7)) for v in range(n)
-                                  if rng.random() < 0.6}))
+        graphs.append((n, edges, {v: rng.choice(("a", "b", "c d", 7, "a\nb", "", "x\n"))
+                                  for v in range(n) if rng.random() < 0.6}))
     for net in corpus(300, max_leaves=6, max_retics=5, seed_base=33_000):
         graphs += _mutants(net, rng)
     outcomes = set()
