@@ -406,9 +406,10 @@ def temporal_violating_antichain(net: PhyloNetwork) -> tuple[int, ...]:
     child of U lies in the witness set), so q is a comparability target
     exactly when some r is q itself (then q sits on the reticulation path
     and is a child of one of the t_i) or has q among its descendants.
-    Dropping the reachable targets leaves an antichain of size k-1, k, or
-    k+1 that provably cannot reach the leaves disjointly (checked before
-    returning).
+    Dropping the reachable targets leaves an antichain A of size k-1, k, or
+    k+1 that provably cannot reach the leaves disjointly.  Checking that
+    before returning runs :func:`antichain_to_leaf`, O(|A| (n + m)): this
+    route is quadratic when one W-fence holds most of the network.
     """
     if not is_temporal(net)[0]:
         raise ValueError("network is not temporal")

@@ -272,8 +272,8 @@ def cmd_complete(args, net: PhyloNetwork) -> Answer:
     }
     if args.out is not None:
         _write_network(args.out, result.network, text)
-    _dot(args, result.network,
-         attached=tuple(map(result.network.vertex_by_label, result.labels)))
+    # attach_leaves gives the i-th new leaf the id n + 2i + 1
+    _dot(args, result.network, attached=range(net.num_vertices + 1, result.network.num_vertices, 2))
     return payload, [f"attached {len(result.attached_edges)} leaf(s)", text], 0
 
 

@@ -47,7 +47,7 @@ def parse_edgelist(text: str) -> PhyloNetwork:
 def vertex_names(net: PhyloNetwork) -> list[str]:
     """Stable per-vertex names: leaf labels where they exist, ``i<id>``
     otherwise, disambiguated against label collisions."""
-    taken = set(net.labels)
+    taken = set(net.leaf_labels.values())
     names = []
     for v in range(net.num_vertices):
         if net.out_degree[v] == 0:

@@ -14,11 +14,11 @@ whole-graph test per remaining rule, listing violations only for a rule
 whose test fails.  :func:`validate` runs the same two.
 The network keeps no arc list: ``edges`` is read off the child lists, in
 ascending order, so no answer depends on the order the input listed its
-arcs in.  The topological order, the zig-zag trail walk and the temporal
-test are each computed on first use and kept on the network, so every
-later query on the same object reads them.  All structures are immutable
-after construction; :func:`attach_leaves` returns a new network, built
-once for any number of attachments.
+arcs in.  The sorted labels and the topological order are computed on
+each access.  The label index, the zig-zag trail walk and the temporal
+test are each computed on first use and kept, so every later query on
+the same object reads them.  All structures are immutable after
+construction; :func:`attach_leaves` returns a new network, built once.
 The records are ``NamedTuple``s, so they compare equal to plain tuples.
 """
 
@@ -200,30 +200,23 @@ class PhyloNetwork:
     front end for an arc list, whose arc pass refuses ids out of range and
     self-loops; the readers, :func:`attach_leaves` and the generator make
     dense int ids and call the core.  Instances are
-    immutable: adjacency tuples are computed at construction, the
-    topological order on first use, and the label map is exposed read-only.
-    ``_trails`` and ``_temporal`` keep the walk and the temporal test, which
-    :mod:`tbnet.treebased` and :mod:`tbnet.antichains` fill on first use.
+    immutable: adjacency tuples are computed at construction and the label
+    map is exposed read-only.  ``_by_label``, ``_trails`` and ``_temporal``
+    keep the label index, the walk and the temporal test, which
+    :meth:`vertex_by_label`, :mod:`tbnet.treebased` and :mod:`tbnet.antichains` fill on first use.
     """
 
     __slots__ = (
         "num_vertices", "leaf_labels", "root",
         "children", "parents", "in_degree", "out_degree",
-        "leaves", "reticulations", "_labels_sorted", "_order", "_by_label",
-        "_trails", "_temporal",
+        "leaves", "reticulations", "_by_label", "_trails", "_temporal",
     )
 
     def __init__(self, edges: Iterable[Edge], leaf_labels: Mapping[int, str], num_vertices: int | None = None):
-        edge_tuple = tuple(edges)
-        # The usual ids are plain ints, which need no copy; C-level type
-        # tests confirm it.  operator.index copies other ids and label keys,
-        # and refuses a float or a string instead of truncating it.
-        if not (set(map(type, edge_tuple)) <= {tuple} and set(map(len, edge_tuple)) <= {2}
-                and set(map(type, chain.from_iterable(edge_tuple))) <= {int}):
-            edge_tuple = tuple((index(u), index(v)) for u, v in edge_tuple)
-        labels = dict(leaf_labels)
-        if not set(map(type, labels)) <= {int}:
-            labels = {index(v): name for v, name in labels.items()}
+        # operator.index makes every id and label key a plain int, and
+        # refuses a float or a string instead of truncating it.
+        edge_tuple = tuple((index(u), index(v)) for u, v in edges)
+        labels = {index(v): name for v, name in dict(leaf_labels).items()}
         if num_vertices is None:
             num_vertices = max(max(chain.from_iterable(edge_tuple), default=-1),
                                max(labels, default=-1)) + 1
@@ -260,10 +253,7 @@ class PhyloNetwork:
         self.parents = tuple(map(tuple, pars))
         self.out_degree = tuple(map(len, kids))
         self.reticulations = tuple(compress(range(n), map((2).__eq__, self.in_degree)))
-        self._labels_sorted = tuple(sorted(labels.values()))
-        self._by_label = {name: v for v, name in labels.items()}
-        self._order: tuple[int, ...] | None = None
-        self._trails = self._temporal = None
+        self._by_label = self._trails = self._temporal = None
 
     @property
     def edges(self) -> tuple[Edge, ...]:
@@ -273,30 +263,31 @@ class PhyloNetwork:
 
     @property
     def labels(self) -> tuple[str, ...]:
-        """All leaf labels, sorted."""
-        return self._labels_sorted
+        """All leaf labels, sorted on each access."""
+        return tuple(sorted(self.leaf_labels.values()))
 
     def vertex_by_label(self, label: str) -> int:
+        """The leaf labeled ``label``; the first call builds the index."""
+        if self._by_label is None:
+            self._by_label = {name: v for v, name in self.leaf_labels.items()}
         return self._by_label[label]
 
     def topological_order(self) -> tuple[int, ...]:
         """Vertices in a topological order; ties broken by ascending id.
-        Kahn's algorithm with an ascending-id heap, run on the first call."""
-        if self._order is None:
-            import heapq  # no query's default route asks for this order
+        Kahn's algorithm with an ascending-id heap, run on every call."""
+        import heapq  # no query's default route asks for this order
 
-            indeg = list(self.in_degree)
-            heap = [self.root]
-            order = []
-            while heap:
-                u = heapq.heappop(heap)
-                order.append(u)
-                for v in self.children[u]:
-                    indeg[v] -= 1
-                    if not indeg[v]:
-                        heapq.heappush(heap, v)
-            self._order = tuple(order)
-        return self._order
+        indeg = list(self.in_degree)
+        heap = [self.root]
+        order = []
+        while heap:
+            u = heapq.heappop(heap)
+            order.append(u)
+            for v in self.children[u]:
+                indeg[v] -= 1
+                if not indeg[v]:
+                    heapq.heappush(heap, v)
+        return tuple(order)
 
     def __repr__(self) -> str:
         return (f"PhyloNetwork(n={self.num_vertices}, leaves={len(self.leaves)}, "

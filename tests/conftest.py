@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import tbnet
-from tbnet import GenSpec, GenerationError, generate, parse_edgelist
+from tbnet import GenSpec, GenerationError, PhyloNetwork, generate, parse_edgelist
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -62,6 +62,38 @@ def killer():
 @pytest.fixture(scope="session")
 def temporal_nontb():
     return load_fixture("temporal_nontb")
+
+
+def ladder(k: int) -> tuple[PhyloNetwork, tuple[int, ...]]:
+    """A temporal network on 4k + 11 vertices, and the k + 1 tails t0..tk
+    of its one W-fence, whose heads are h1..hk.  Head h_i has the parents
+    t(i-1) and t_i and one leaf child.  The end
+    tails t0 and tk are reticulations, each below two tree vertices that
+    also carry a leaf; a caterpillar spine gives t1..t(k-1) and those four
+    tree vertices one parent each."""
+    ids = iter(range(4 * k + 11))
+    tails = [next(ids) for _ in range(k + 1)]
+    arcs, labels = [], {}
+
+    def hang_leaf(parent):
+        v = next(ids)
+        arcs.append((parent, v))
+        labels[v] = f"x{v}"
+
+    for t, u in zip(tails, tails[1:]):
+        h = next(ids)
+        arcs += [(t, h), (u, h)]
+        hang_leaf(h)
+    hung = tails[1:-1]
+    for t in (tails[0], tails[0], tails[-1], tails[-1]):
+        p = next(ids)
+        arcs.append((p, t))
+        hang_leaf(p)
+        hung.append(p)
+    spine = [next(ids) for _ in hung[1:]]
+    arcs += zip(spine, hung)
+    arcs += zip(spine, spine[1:] + hung[-1:])
+    return PhyloNetwork(arcs, labels), tuple(tails)
 
 
 def corpus(count: int, max_leaves: int = 6, max_retics: int = 4,

@@ -31,7 +31,7 @@ from tbnet.oracles import (
     oracle_temporal,
 )
 
-from conftest import FIXTURES, corpus, run_python
+from conftest import FIXTURES, corpus, ladder, run_python
 
 
 def test_is_antichain_basics(killer):
@@ -285,6 +285,19 @@ def test_temporal_violating_antichain_preconditions(diamond, killer):
         temporal_violating_antichain(diamond)   # tree-based
     with pytest.raises(ValueError):
         temporal_violating_antichain(killer)  # not temporal
+
+
+@pytest.mark.parametrize("k", range(1, 31))
+def test_a_ladder_violates_with_all_its_tails(k):
+    # one W-fence with k + 1 tails, longer than any corpus network's
+    net, tails = ladder(k)
+    assert net.num_vertices == 4 * k + 11
+    assert is_temporal(net)[0]
+    assert deviation_indices(net).p == 1
+    based, witness = is_tree_based(net)
+    assert not based
+    assert witness.u1 == tails and len(witness.rr_path) == 2 * k - 1
+    assert temporal_violating_antichain(net) == tails
 
 
 def test_temporal_violating_antichain_on_corpus():

@@ -135,7 +135,7 @@ QUERIES = [("check",), ("indices",), ("paths",), ("spanning-tree",), ("temporal"
 @pytest.mark.parametrize("name", ["diamond", "deviation_one", "killer", "temporal_nontb"])
 @pytest.mark.parametrize("ext", [".edges", ".nwk"])
 def test_each_query_builds_and_derives_once(capsys, monkeypatch, query, name, ext):
-    counts = {"build": 0, "walk": 0, "is_temporal": 0, "topological_order": 0}
+    counts = {"build": 0, "walk": 0, "is_temporal": 0, "topological_order": 0, "label_index": 0}
 
     def counting(key, fn):
         @functools.wraps(fn)
@@ -148,10 +148,10 @@ def test_each_query_builds_and_derives_once(capsys, monkeypatch, query, name, ex
     monkeypatch.setattr(PhyloNetwork, "_build", counting("build", PhyloNetwork._build))
     monkeypatch.setattr(PhyloNetwork, "topological_order",
                         counting("topological_order", PhyloNetwork.topological_order))
-    # a walk or a temporal test is counted when its result is stored, so a
-    # second call that reads the stored result is free and one that
-    # computes again is not
-    for key, store in (("walk", "_trails"), ("is_temporal", "_temporal")):
+    # a walk, a temporal test or a label index is counted when it is
+    # stored, so a second call that reads the stored result is free and one
+    # that computes again is not
+    for key, store in (("walk", "_trails"), ("is_temporal", "_temporal"), ("label_index", "_by_label")):
         slot = PhyloNetwork.__dict__[store]
 
         def counting_setter(net, value, key=key, slot=slot):
@@ -168,6 +168,8 @@ def test_each_query_builds_and_derives_once(capsys, monkeypatch, query, name, ex
     # only the exhaustive antichain route asks for the heap order
     if query != ("antichain", "--check-property"):
         assert counts["topological_order"] == 0
+    # only a --set token is looked up by label
+    assert counts["label_index"] <= (query == ("antichain", "--set", "0"))
 
 
 def _as_json_dumps(out: str) -> str:
@@ -586,6 +588,18 @@ def test_parse_error_exit(capsys, tmp_path):
     code, _, err = run(capsys, "check", str(bad))
     assert code == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize("name, text, vertex", [
+    ("loop.edges", "r a\nr b\nb b\n", 2),
+    ("loop.nwk", "((#H1)#H1,a);", 0),
+])
+def test_a_self_loop_is_an_input_error(capsys, tmp_path, name, text, vertex):
+    # both readers leave the loop in the lists; the build names it
+    path = tmp_path / name
+    path.write_text(text)
+    code, out, err = run(capsys, "check", str(path))
+    assert (code, out, err) == (2, "", f"error: self-loop at vertex {vertex}\n")
 
 
 def test_missing_file_exit(capsys):
