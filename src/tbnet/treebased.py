@@ -11,15 +11,16 @@ measures quantify how far a network is from that property:
 * ``t``: the minimum number of new leaves that must be attached (by edge
   subdivision) to make the network tree-based.
 
-All three equal the number of W-fences of the path graph, which one
-zig-zag trail walk (:func:`zigzag_trails`) counts.  The same walk gives the
-witnesses: its maximum matching chains a minimum path partition and, with
-each path start hung below a parent, a spanning tree realizing ``l``; the
-unmatched vertices with out-edges, that tree's unlabeled leaves, give a
-completion realizing ``t``; and its first W-fence is the failure witness.
-Each network is walked once: the walk is kept on the network, and every
-later query on it reads the kept walk.  The completion attaches all its
-leaves with one :func:`~tbnet.network.attach_leaves`, which builds once.
+All three equal the number of W-fences of the path graph, which one zig-zag
+trail walk (:func:`zigzag_trails`), kept on the network for every later
+query, counts.  It enters each fence at its end of smallest id and each
+crown at its smallest tail, and matches the arcs of each trail that point
+the way its first arc points: a maximum matching.  That matching chains a
+minimum path partition and, with each path start hung below a parent, a
+spanning tree realizing ``l``; the unmatched vertices with out-edges, that
+tree's unlabeled leaves, give a completion realizing ``t``; and the first
+W-fence is the failure witness.  The completion attaches all its leaves
+with one :func:`~tbnet.network.attach_leaves`, which builds once.
 """
 
 from __future__ import annotations
@@ -101,56 +102,75 @@ def zigzag_trails(net: PhyloNetwork) -> tuple[tuple[int, ...], tuple[int, ...], 
     The path graph, an edge (u-left, v-right) per arc (u, v), has maximum
     degree 2 in a binary network, so it splits into zig-zag trails t0 -> h1
     <- t1 -> h2 <- ...: crowns (cycles) and fences (paths).  Fences are
-    walked from an end, smallest-id end first, then crowns.  Every other
-    arc of a trail, from its first, is taken: no matching meets a path or
-    even cycle of e arcs in more than ceil(e/2) arcs, so the taken arcs are
-    a maximum matching.  Returns them as tuples ``succ`` and ``pred``
-    (``succ[u] == v``, ``pred[v] == u``, else -1), and the W-fences t0, h1,
-    t1, ..., hk, tk, each from its smaller end reticulation (end tail when
-    k = 1) and sorted by it: the first is the failure witness.  The first
-    call walks and keeps the triple on ``net``; later calls return it.
+    walked from their end of smallest id (a tail before a head of one id),
+    then crowns from their smallest tail.  Every other arc from the first
+    is taken, one direction per trail: tail -> head in a trail entered at a
+    tail, head -> tail in one entered at a head.  No matching meets a path
+    or even cycle of e arcs in more than ceil(e/2) arcs, so these are a
+    maximum matching, returned as ``succ`` and ``pred`` (``succ[u] == v``,
+    ``pred[v] == u``, else -1) with the W-fences t0, h1, t1, ..., hk, tk,
+    each from its smaller end reticulation (end tail when k = 1), sorted by
+    it: the first is the failure witness.  The first call walks and keeps
+    the triple on ``net``; later calls return it.
     """
-    if net._trails is not None:
-        return net._trails
+    if net._trails is None:
+        net._trails = _walk(net)  # apart, so that returning a kept walk makes no closure cells
+    return net._trails
+
+
+def _walk(net: PhyloNetwork) -> tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, ...], ...]]:
     n = net.num_vertices
-    nbrs = (net.children, net.parents)  # side 0: tails, 1: heads
-    match = ([-1] * n, [-1] * n)
-    seen = (bytearray(n), bytearray(n))
+    children, parents = net.children, net.parents
+    succ, pred = [-1] * n, [-1] * n
+    seen_t, seen_h = bytearray(n), bytearray(n)  # seen_h holds only the heads that end a fence
 
-    def walk(v: int, side: int) -> list[int]:
-        us = nbrs[1 - side][nbrs[side][v][0]]  # the adjacency's own v, not a new int
-        v = us[0] if us[0] == v else us[-1]
-        trail, prev, take = [], -1, True
+    def tail_walk(v: int) -> list[int]:
+        ts = parents[children[v][0]]
+        t = ts[0] if ts[0] == v else ts[-1]  # the adjacency's own v, not a new int
+        trail, h = [], -1
         while True:
-            trail.append(v)
-            seen[side][v] = 1
-            ws = nbrs[side][v]
-            w = ws[-1] if ws[0] == prev else ws[0]
-            if w == prev or seen[1 - side][w]:
-                return trail  # the far end of a fence, or a crown closed
-            if take:
-                match[side][v] = w
-                match[1 - side][w] = v
-            take = not take
-            prev, v, side = v, w, 1 - side
+            trail.append(t)
+            seen_t[t] = 1
+            hs = children[t]
+            nh = hs[-1] if hs[0] == h else hs[0]
+            if nh == h:
+                return trail  # a tail ends the fence
+            succ[t], pred[nh] = nh, t
+            trail.append(nh)
+            ts = parents[nh]
+            h, t = nh, ts[-1] if ts[0] == t else ts[0]
+            if seen_t[t]:  # t again: a head ends the fence; else the crown closed
+                seen_h[h] = 1
+                return trail
 
-    out_degree, in_degree = net.out_degree, net.in_degree
-    fences = []
+    out_degree, in_degree, fences = net.out_degree, net.in_degree, []
     for v in range(n):
-        if out_degree[v] == 1 and not seen[0][v]:
-            trail = walk(v, 0)
+        if out_degree[v] == 1 and not seen_t[v]:
+            trail = tail_walk(v)
             if len(trail) % 2:  # ends at a tail too: a W-fence
                 if (trail[1], trail[0]) > (trail[-2], trail[-1]):
                     trail.reverse()
                 fences.append(tuple(trail))
-        if in_degree[v] == 1 and not seen[1][v]:
-            walk(v, 1)
+        if in_degree[v] == 1 and not seen_h[v]:  # entered at a head: never a W-fence
+            t = parents[v][0]
+            hs = children[t]
+            h = hs[0] if hs[0] == v else hs[-1]  # the adjacency's own v, as in tail_walk
+            while True:
+                succ[t], pred[h], seen_t[t] = h, t, 1
+                nh = hs[-1] if hs[0] == h else hs[0]
+                if nh == h:
+                    break  # a tail ends the fence
+                ts = parents[nh]
+                nt = ts[-1] if ts[0] == t else ts[0]
+                if nt == t:
+                    seen_h[nh] = 1
+                    break  # a head ends the fence
+                h, t, hs = nh, nt, children[nt]
     for v in range(n):
-        if out_degree[v] == 2 and not seen[0][v]:
-            walk(v, 0)
+        if out_degree[v] == 2 and not seen_t[v]:
+            tail_walk(v)
     fences.sort(key=lambda f: f[1])
-    net._trails = (tuple(match[0]), tuple(match[1]), tuple(fences))
-    return net._trails
+    return tuple(succ), tuple(pred), tuple(fences)
 
 
 def vertex_disjoint_paths(net: PhyloNetwork) -> PathPartition:

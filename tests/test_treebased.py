@@ -16,7 +16,9 @@ from tbnet import (
     tree_based_completion,
     vertex_disjoint_paths,
 )
-from tbnet.treebased import _failure_witness
+from tbnet.edgelist import parse_edgelist
+from tbnet.enewick import parse_enewick
+from tbnet.treebased import _failure_witness, zigzag_trails
 from tbnet.oracles import (
     isomorphic,
     oracle_min_attachments,
@@ -25,7 +27,7 @@ from tbnet.oracles import (
     oracle_tree_based,
 )
 
-from conftest import corpus
+from conftest import FIXTURES, corpus, ladder
 
 
 def assert_valid_partition(net, partition):
@@ -243,3 +245,99 @@ def test_spanning_tree_matches_the_chained_paths_reference():
         based, cert = is_tree_based(net)
         if based:
             assert tuple(cert.tree) == expected
+
+
+def reference_zigzag_trails(net):
+    """The earlier ``zigzag_trails``: one walk for both sides, indexed by
+    side (0: tails, 1: heads), taking every other arc from the first.  It
+    keeps nothing on ``net``."""
+    n = net.num_vertices
+    nbrs = (net.children, net.parents)  # side 0: tails, 1: heads
+    match = ([-1] * n, [-1] * n)
+    seen = (bytearray(n), bytearray(n))
+
+    def walk(v: int, side: int) -> list[int]:
+        us = nbrs[1 - side][nbrs[side][v][0]]  # the adjacency's own v, not a new int
+        v = us[0] if us[0] == v else us[-1]
+        trail, prev, take = [], -1, True
+        while True:
+            trail.append(v)
+            seen[side][v] = 1
+            ws = nbrs[side][v]
+            w = ws[-1] if ws[0] == prev else ws[0]
+            if w == prev or seen[1 - side][w]:
+                return trail  # the far end of a fence, or a crown closed
+            if take:
+                match[side][v] = w
+                match[1 - side][w] = v
+            take = not take
+            prev, v, side = v, w, 1 - side
+
+    out_degree, in_degree = net.out_degree, net.in_degree
+    fences = []
+    for v in range(n):
+        if out_degree[v] == 1 and not seen[0][v]:
+            trail = walk(v, 0)
+            if len(trail) % 2:  # ends at a tail too: a W-fence
+                if (trail[1], trail[0]) > (trail[-2], trail[-1]):
+                    trail.reverse()
+                fences.append(tuple(trail))
+        if in_degree[v] == 1 and not seen[1][v]:
+            walk(v, 1)
+    for v in range(n):
+        if out_degree[v] == 2 and not seen[0][v]:
+            walk(v, 0)
+    fences.sort(key=lambda f: f[1])
+    return (tuple(match[0]), tuple(match[1]), tuple(fences))
+
+
+def _trail_kinds(net):
+    """The kinds of trail the path graph holds, found without walking: a
+    union-find over the copies 2u (tail u) and 2v + 1 (head v), one union
+    per arc (u, v).  A trail with no end (a tail of out-degree 1 or a head
+    of in-degree 1) is a crown; one whose ends are both tails is a W-fence;
+    one whose smallest end copy is odd is entered at a head."""
+    root = list(range(2 * net.num_vertices))
+
+    def find(x):
+        while root[x] != x:
+            root[x] = x = root[root[x]]
+        return x
+
+    for u, v in net.edges:
+        root[find(2 * u)] = find(2 * v + 1)
+    ends = {}
+    for v in range(net.num_vertices):
+        for copy, degree in ((2 * v, net.out_degree[v]), (2 * v + 1, net.in_degree[v])):
+            if degree == 1:
+                ends.setdefault(find(copy), []).append(copy)
+    kinds = {"crown" for u, _ in net.edges if find(2 * u) not in ends}
+    for copies in ends.values():
+        if len(copies) == 2 and copies[0] % 2 == copies[1] % 2 == 0:
+            kinds.add("W-fence")
+        if min(copies) % 2:
+            kinds.add("head-entered")
+    return kinds
+
+
+def _walk_sample():
+    yield from corpus(400)
+    for k in range(1, 31):
+        yield ladder(k)[0]
+    for path in sorted(FIXTURES.iterdir()):
+        yield (parse_enewick if path.suffix == ".nwk" else parse_edgelist)(path.read_text())
+    for leaves in range(1, 14):
+        for retics in range(14):
+            if (leaves, retics) == (1, 1):
+                continue
+            for seed in range(4):
+                yield generate(GenSpec(leaves, retics, seed=seed))
+    yield generate(GenSpec(3000, 2001, 1))
+
+
+def test_the_walk_matches_the_reference_walk():
+    kinds = set()
+    for net in _walk_sample():
+        assert zigzag_trails(net) == reference_zigzag_trails(net), net.edges
+        kinds |= _trail_kinds(net)
+    assert kinds == {"crown", "W-fence", "head-entered"}
