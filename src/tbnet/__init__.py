@@ -21,7 +21,8 @@ _EXPORTS = {
         "DisjointPathWitness", "TemporalMap", "antichain_to_leaf",
         "has_antichain_to_leaf_property",
         "is_antichain", "is_temporal", "max_antichain", "maximal_antichains",
-        "temporal_violating_antichain", "verify_temporal_map",
+        "separates", "temporal_violating_antichain", "temporal_violation",
+        "verify_temporal_map",
     ),
     "dot": ("export_dot",),
     "edgelist": ("parse_edgelist", "serialize_edgelist", "vertex_names"),

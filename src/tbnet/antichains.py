@@ -5,8 +5,10 @@ another.  The antichain-to-leaf property asks that every antichain A admit
 |A| vertex-disjoint directed paths from its members to labeled leaves.  For
 temporal networks (those admitting a time map: strictly increasing along
 tree edges, constant along reticulation edges) that property is equivalent
-to being tree-based, and a failing antichain can be constructed from any
-reticulation-to-reticulation path of the saturation graph.
+to being tree-based.  There the failure witness's W-fence yields a failing
+antichain and, for the same price, a vertex separator smaller than it that
+every path from it to a leaf meets (Menger): :func:`separates` checks that
+certificate in linear time without any flow.
 
 Both antichain queries are unit flows on the split DAG, searched in place:
 vertex v's in-copy 2v and out-copy 2v + 1 read their residual arcs off the
@@ -21,7 +23,7 @@ from __future__ import annotations
 from typing import Iterable, NamedTuple
 
 from .network import PhyloNetwork
-from .treebased import deviation_indices, is_tree_based, zigzag_trails
+from .treebased import is_tree_based, zigzag_trails
 
 DEFAULT_EXHAUSTIVE_BOUND = 18
 
@@ -300,12 +302,13 @@ def has_antichain_to_leaf_property(net: PhyloNetwork, mode: str = "exhaustive") 
     (no polynomial algorithm is claimed for the general property).
 
     ``temporal-shortcut`` requires a temporal network and uses the
-    equivalence with tree-basedness there.
+    equivalence with tree-basedness there: the property holds iff the
+    trail walk found no W-fence.
     """
     if mode == "temporal-shortcut":
         if not is_temporal(net)[0]:
             raise ValueError("temporal-shortcut mode requires a temporal network")
-        return deviation_indices(net).p == 0
+        return not zigzag_trails(net)[2]
     if mode != "exhaustive":
         raise ValueError(f"unknown mode {mode!r}")
     if net.num_vertices > DEFAULT_EXHAUSTIVE_BOUND:
@@ -338,9 +341,11 @@ def is_temporal(net: PhyloNetwork) -> tuple[bool, TemporalMap | None]:
     """Does the network admit a temporal map?  Returns one if so.
 
     Reticulation edges force equal times, so contract them: vertices joined
-    by reticulation edges share a group.  A temporal map exists iff no tree
-    edge joins a group to itself and the tree-edge relation between groups
-    is acyclic; the map assigned is the longest-path level of each group.
+    by reticulation edges share a group, one search per component of
+    reticulation edges.  A temporal map exists iff no tree edge joins a
+    group to itself and the tree-edge relation between groups is acyclic
+    (Kahn's algorithm); the map assigned is the longest-path level of each
+    group, checked by :func:`verify_temporal_map`.  Every step is O(n + m).
     The first call decides and keeps the pair on ``net``; later calls
     return it.
     """
@@ -351,77 +356,141 @@ def is_temporal(net: PhyloNetwork) -> tuple[bool, TemporalMap | None]:
 
 def _temporal_test(net: PhyloNetwork) -> tuple[bool, TemporalMap | None]:
     """:func:`is_temporal`, decided afresh."""
-    n, parents, in_degree = net.num_vertices, net.parents, net.in_degree
+    n, children, parents, in_degree = net.num_vertices, net.children, net.parents, net.in_degree
+    # A component of reticulation arcs is named by its smallest
+    # reticulation, from which one search labels it; any other vertex names
+    # its own group.  The search walks reticulations, and labels each tree
+    # parent with that parent's reticulation children.
     group = list(range(n))
-
-    def find(v: int) -> int:
-        while group[v] != v:
-            group[v] = group[group[v]]
-            v = group[v]
-        return v
-
-    for v in net.reticulations:
-        for u in parents[v]:
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                group[ru] = rv
-    root = [find(v) for v in range(n)]
-    # The tree edges between groups, indexed by group root, with repeats.
+    for r in net.reticulations:
+        if group[r] != r:
+            continue
+        todo = [r]
+        for x in todo:
+            for p in parents[x]:
+                if group[p] != r:
+                    group[p] = r
+                    if in_degree[p] == 2:
+                        todo.append(p)
+                    else:
+                        for c in children[p]:
+                            if group[c] != r and in_degree[c] == 2:
+                                group[c] = r
+                                todo.append(c)
+            c = children[x][0]
+            if group[c] != r and in_degree[c] == 2:
+                group[c] = r
+                todo.append(c)
+    # The tree edges between groups, indexed by group name, with repeats.
     succ = [[] for _ in range(n)]
     indeg = [0] * n
     for v in range(n):
         if in_degree[v] == 1:
-            g, h = root[parents[v][0]], root[v]
+            g, h = group[parents[v][0]], group[v]
             if g == h:
                 return False, None
             succ[g].append(h)
             indeg[h] += 1
 
+    # Kahn's algorithm: a group is popped after its predecessors.  Every
+    # vertex but the root has a parent, and every component one that is a
+    # tree vertex, unless it holds the root: the root's group is the only
+    # one that can start with no tree edge in.
     level = [0] * n
-    stack = [g for g in range(n) if root[g] == g and not indeg[g]]
-    while stack:  # Kahn's algorithm: a group is popped after its predecessors
+    root = group[net.root]
+    stack = [] if indeg[root] else [root]
+    while stack:
         g = stack.pop()
+        up = level[g] + 1
         for h in succ[g]:
-            if level[h] <= level[g]:
-                level[h] = level[g] + 1
+            if level[h] < up:
+                level[h] = up
             indeg[h] -= 1
             if not indeg[h]:
                 stack.append(h)
     if any(indeg):  # a group on or below a cycle was never popped
         return False, None
 
-    tm = TemporalMap(tuple([level[g] for g in root]))
+    tm = TemporalMap(tuple([level[g] for g in group]))
     verify_temporal_map(net, tm)
     return True, tm
 
 
-def temporal_violating_antichain(net: PhyloNetwork) -> tuple[int, ...]:
-    """For a temporal, non-tree-based network: an antichain with no disjoint
-    routing to the leaves.
+def separates(net: PhyloNetwork, members: Iterable[int], separator: Iterable[int]) -> bool:
+    """Does ``separator`` prove that ``members`` cannot reach the leaves
+    along vertex-disjoint paths?
 
-    Start from the failure witness's parent set U = {q, t_1..t_{k-1}, q'}.
-    A temporal map is constant on U, so any comparability inside U travels
-    reticulation edges only and must end at a reticulation of U, i.e. at q
-    or q'.  Such a route leaves U through a witness reticulation r (every
-    child of U lies in the witness set), so q is a comparability target
-    exactly when some r is q itself (then q sits on the reticulation path
-    and is a child of one of the t_i) or has q among its descendants.
-    Dropping the reachable targets leaves an antichain A of size k-1, k, or
-    k+1 that provably cannot reach the leaves disjointly.  Checking that
-    before returning runs :func:`antichain_to_leaf`, O(|A| (n + m)): this
-    route is quadratic when one W-fence holds most of the network.
+    True iff the separator has fewer vertices than the members and meets
+    every path from a member to a vertex without children: by Menger's
+    theorem no family of |members| vertex-disjoint such paths then exists.
+    A member may lie in the separator.  One search from the members outside
+    it, never entering it, must reach no such vertex: O(n + m).
+
+    Raises ValueError for a vertex out of range.
+    """
+    starts, cut = set(members), set(separator)
+    n, children = net.num_vertices, net.children
+    for v in starts | cut:
+        if not 0 <= v < n:
+            raise ValueError(f"vertex {v} out of range")
+    if len(cut) >= len(starts):
+        return False
+    seen = bytearray(n)
+    for v in cut:
+        seen[v] = 1
+    stack = list(starts)
+    while stack:
+        v = stack.pop()
+        if not seen[v]:
+            if not children[v]:
+                return False
+            seen[v] = 1
+            stack.extend(children[v])
+    return True
+
+
+def temporal_violation(net: PhyloNetwork) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """For a temporal, non-tree-based network: an antichain A with no
+    disjoint routing to the leaves, and a separator S that proves it.
+
+    Both come from the failure witness's W-fence t0, h1, t1, ..., hk, tk,
+    to which a temporal map gives one time.  A tail can reach another
+    tail only along reticulation edges, through a head, and only the end
+    tails t0 and tk are reticulations: A is the tails minus the end tails
+    some head reaches.  S is the heads minus those dropped tails and the
+    reticulations above them along reticulation edges.  A path from a
+    head to a dropped tail runs through reticulations alone, each with one
+    child, on into a head, so every path from A to a leaf meets S, and
+    |S| < |A|.  The code trusts no argument: :func:`is_antichain` and
+    :func:`separates` check the pair, each in O(n + m), and a failure
+    raises RuntimeError.
     """
     if not is_temporal(net)[0]:
         raise ValueError("network is not temporal")
     based, witness = is_tree_based(net)
     if based:
         raise ValueError("network is tree-based; no violating antichain exists")
-    u_set = witness.u1
-    below = _reachable(net, witness.u2)
-    drop = {v for v in (u_set[0], u_set[-1]) if below[v]}
-    result = tuple(sorted(v for v in u_set if v not in drop))
-    if not is_antichain(net, result):
+    tails, heads = witness.u1, witness.u2
+    below = _reachable(net, heads)
+    stack = [v for v in (tails[0], tails[-1]) if below[v]]
+    antichain = tuple(sorted(set(tails).difference(stack)))
+    parents, in_degree = net.parents, net.in_degree
+    marked = set()
+    while stack:
+        v = stack.pop()
+        if v not in marked:
+            marked.add(v)
+            stack += [u for u in parents[v] if in_degree[u] == 2]
+    separator = tuple(sorted(h for h in heads if h not in marked))
+    if not is_antichain(net, antichain):
         raise RuntimeError("comparable pair with no reticulation route")
-    if antichain_to_leaf(net, result)[0]:
-        raise RuntimeError("constructed antichain unexpectedly reaches leaves disjointly")
-    return result
+    if not separates(net, antichain, separator):
+        raise RuntimeError("the heads left do not cut the antichain off the leaves")
+    return antichain, separator
+
+
+def temporal_violating_antichain(net: PhyloNetwork) -> tuple[int, ...]:
+    """For a temporal, non-tree-based network: an antichain with no disjoint
+    routing to the leaves, the first half of :func:`temporal_violation`,
+    which builds and checks it with its separator in O(n + m)."""
+    return temporal_violation(net)[0]

@@ -334,19 +334,21 @@ def cmd_antichain(args, net: PhyloNetwork) -> Answer:
 
 
 def cmd_temporal(args, net: PhyloNetwork) -> Answer:
-    from .antichains import is_temporal, temporal_violating_antichain
-    from .treebased import deviation_indices
+    from .antichains import is_temporal, temporal_violation
+    from .treebased import zigzag_trails
 
     temporal, tmap = is_temporal(net)
     payload = {"temporal": temporal,
                "ranks": tmap.ranks if tmap else None,
-               "violating_antichain": None}
+               "violating_antichain": None,
+               "separator": None}
     human = [f"temporal: {'yes' if temporal else 'no'}"]
-    if temporal and deviation_indices(net).p:
-        violating = temporal_violating_antichain(net)
+    if temporal and zigzag_trails(net)[2]:  # a W-fence: not tree-based
+        violating, separator = temporal_violation(net)
         payload["violating_antichain"] = violating
-        human.append(f"not tree-based; antichain with no disjoint leaf routing: "
-                     f"{list(violating)}")
+        payload["separator"] = separator
+        human += [f"not tree-based; antichain with no disjoint leaf routing: {list(violating)}",
+                  f"separator, met by every path from it to a leaf: {list(separator)}"]
     return payload, human, 0 if temporal else 1
 
 

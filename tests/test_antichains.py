@@ -1,4 +1,7 @@
+import functools
 import hashlib
+import time
+from itertools import islice
 
 import pytest
 
@@ -18,11 +21,17 @@ from tbnet import (
     max_antichain,
     max_matching,
     maximal_antichains,
+    parse_edgelist,
+    parse_enewick,
     rooted_spanning_tree,
+    separates,
     temporal_violating_antichain,
+    temporal_violation,
     verify_temporal_map,
     vertex_disjoint_paths,
 )
+from tbnet.antichains import _temporal_test
+from tbnet.treebased import zigzag_trails
 from tbnet.oracles import (
     _iter_antichains,
     _reach_sets,
@@ -314,3 +323,207 @@ def test_temporal_violating_antichain_on_corpus():
         if found >= 40:
             break
     assert found >= 40
+
+
+def reference_temporal_test(net):
+    """The earlier ``_temporal_test``: a union-find over the reticulation
+    arcs, one ``find`` per vertex, and one successor list per vertex."""
+    n, parents, in_degree = net.num_vertices, net.parents, net.in_degree
+    group = list(range(n))
+
+    def find(v: int) -> int:
+        while group[v] != v:
+            group[v] = group[group[v]]
+            v = group[v]
+        return v
+
+    for v in net.reticulations:
+        for u in parents[v]:
+            ru, rv = find(u), find(v)
+            if ru != rv:
+                group[ru] = rv
+    root = [find(v) for v in range(n)]
+    # The tree edges between groups, indexed by group root, with repeats.
+    succ = [[] for _ in range(n)]
+    indeg = [0] * n
+    for v in range(n):
+        if in_degree[v] == 1:
+            g, h = root[parents[v][0]], root[v]
+            if g == h:
+                return False, None
+            succ[g].append(h)
+            indeg[h] += 1
+
+    level = [0] * n
+    stack = [g for g in range(n) if root[g] == g and not indeg[g]]
+    while stack:  # Kahn's algorithm: a group is popped after its predecessors
+        g = stack.pop()
+        for h in succ[g]:
+            if level[h] <= level[g]:
+                level[h] = level[g] + 1
+            indeg[h] -= 1
+            if not indeg[h]:
+                stack.append(h)
+    if any(indeg):  # a group on or below a cycle was never popped
+        return False, None
+
+    tm = TemporalMap(tuple([level[g] for g in root]))
+    verify_temporal_map(net, tm)
+    return True, tm
+
+
+@functools.cache
+def _temporal_corpus():
+    """Temporal networks of up to 5 leaves and 5 reticulations, about a
+    third of them not tree-based; generated once for the tests below."""
+    return corpus(19_500, max_leaves=5, max_retics=5, seed_base=70_000, temporal_only=True)
+
+
+def _no_exit(net):
+    """Which "no" a network that is not temporal takes, found without the
+    test: a tree arc inside one component of reticulation arcs, or else a
+    cycle between components."""
+    n, parents = net.num_vertices, net.parents
+    nbrs = [[] for _ in range(n)]
+    for r in net.reticulations:
+        for u in parents[r]:
+            nbrs[u].append(r)
+            nbrs[r].append(u)
+    comp = [-1] * n
+    for s in range(n):
+        if comp[s] < 0:
+            comp[s], todo = s, [s]
+            for x in todo:
+                for y in nbrs[x]:
+                    if comp[y] < 0:
+                        comp[y] = s
+                        todo.append(y)
+    if any(net.in_degree[v] == 1 and comp[parents[v][0]] == comp[v] for v in range(n)):
+        return "tree arc inside a group"
+    return "cycle between groups"
+
+
+def _temporal_sample():
+    yield from corpus(400)
+    yield from _temporal_corpus()
+    for k in range(1, 31):
+        yield ladder(k)[0]
+    for path in sorted(FIXTURES.iterdir()):
+        yield (parse_enewick if path.suffix == ".nwk" else parse_edgelist)(path.read_text())
+    for leaves in range(1, 14):
+        for retics in range(14):
+            if (leaves, retics) != (1, 1):
+                for seed in range(4):
+                    yield generate(GenSpec(leaves, retics, seed=seed))
+    yield generate(GenSpec(3000, 2001, 1))
+
+
+def test_the_temporal_test_matches_the_reference():
+    exits = set()
+    for net in _temporal_sample():
+        answer = _temporal_test(net)
+        assert answer == reference_temporal_test(net), net.edges
+        if not answer[0]:
+            exits.add(_no_exit(net))
+    assert exits == {"tree arc inside a group", "cycle between groups"}
+
+
+def reference_violating_antichain(net):
+    """The earlier ``temporal_violating_antichain``, which checked its
+    answer with :func:`antichain_to_leaf`, one flow search per member."""
+    if not is_temporal(net)[0]:
+        raise ValueError("network is not temporal")
+    based, witness = is_tree_based(net)
+    if based:
+        raise ValueError("network is tree-based; no violating antichain exists")
+    u_set = witness.u1
+    below = set()
+    stack = list(witness.u2)
+    while stack:
+        v = stack.pop()
+        if v not in below:
+            below.add(v)
+            stack.extend(net.children[v])
+    drop = {v for v in (u_set[0], u_set[-1]) if v in below}
+    result = tuple(sorted(v for v in u_set if v not in drop))
+    if not is_antichain(net, result):
+        raise RuntimeError("comparable pair with no reticulation route")
+    if antichain_to_leaf(net, result)[0]:
+        raise RuntimeError("constructed antichain unexpectedly reaches leaves disjointly")
+    return result
+
+
+def _reaches_a_leaf(net, starts, avoid):
+    """Is there a path from ``starts`` to a vertex without children that
+    meets no vertex of ``avoid``?"""
+    seen, stack = set(avoid), [v for v in starts if v not in avoid]
+    while stack:
+        v = stack.pop()
+        if not net.children[v]:
+            return True
+        if v not in seen:
+            seen.add(v)
+            stack.extend(c for c in net.children[v] if c not in seen)
+    return False
+
+
+# End tails that are heads too: the one W-fence is 6, 2, 5, 6, 1, 3, 2, both
+# end tails are dropped, and a separator that left them unmarked would fail.
+DROPPED_HEAD = PhyloNetwork([(0, 1), (0, 5), (1, 3), (1, 6), (2, 3), (3, 4), (5, 2), (5, 6),
+                             (6, 2)], {4: "x"})
+
+
+def _violations():
+    yield from (ladder(k)[0] for k in range(1, 31))
+    yield DROPPED_HEAD
+    yield from (net for net in _temporal_corpus() if zigzag_trails(net)[2])
+
+
+def test_the_violation_keeps_its_antichain_and_its_separator_holds():
+    found = dropped = 0
+    for net in _violations():
+        antichain, separator = temporal_violation(net)
+        assert antichain == reference_violating_antichain(net), net.edges
+        assert temporal_violating_antichain(net) == antichain
+        assert separates(net, antichain, separator), net.edges
+        assert not _reaches_a_leaf(net, antichain, separator)
+        found += 1
+        dropped += len(antichain) < len(is_tree_based(net)[1].u1)
+    assert found >= 31 + 7000 and dropped >= 4000  # the ladders and DROPPED_HEAD, then the corpus
+
+
+def test_the_separator_check_refuses_mutants():
+    opened = 0
+    for net in islice(_violations(), 600):
+        antichain, separator = temporal_violation(net)
+        others = [v for v in range(net.num_vertices) if v not in separator]
+        grown = separator + tuple(others[:len(antichain) - len(separator)])
+        assert len(grown) == len(antichain) and not separates(net, antichain, grown)
+        assert not separates(net, antichain, ())
+        for i in range(len(separator)):
+            smaller = separator[:i] + separator[i + 1:]
+            if _reaches_a_leaf(net, antichain, smaller):
+                opened += 1
+                assert not separates(net, antichain, smaller)
+    assert opened >= 600
+    with pytest.raises(ValueError):
+        separates(DROPPED_HEAD, (1, 2), (7,))
+
+
+def test_the_violating_antichain_scales_linearly(capsys):
+    # one W-fence of k + 1 tails: one flow search per tail made this ~75x
+    # for 10x the vertices; the linear route gives ~10x
+    def best(k: int) -> float:
+        runs = []
+        for _ in range(3):
+            net = ladder(k)[0]
+            start = time.perf_counter()
+            temporal_violating_antichain(net)
+            runs.append(time.perf_counter() - start)
+        return min(runs)
+
+    small, big = best(300), best(3000)
+    assert big < 30.0 * small
+    with capsys.disabled():
+        print(f"\n[temporal_violating_antichain] ladder(300): {small * 1e3:.1f} ms, "
+              f"ladder(3000): {big * 1e3:.1f} ms, ratio {big / small:.1f}x")

@@ -27,7 +27,7 @@ PINS = {
     "indices": "7e7304863c8ef4b6a13ed53693139dcd282acb7fe67b5b8ad791e2994b6df50b",
     "paths": "e90faa4675cf0a7f92c8a5433e5254d8f112152de4a61f1adfab402ee95bef97",
     "spanning-tree": "329cf112ae19e6160a6bab2cb94b22088037ca910b992d5fa51f4186fdb3b525",
-    "temporal": "6987503ddd67978dd97b5b4da4f5095eaa86c8cf952255269f04e485b3702276",
+    "temporal": "c6590b1554ba45974aa811f8655a90282d7fc061072db0640da582589ff0cdc2",
     "complete": "2a8f032d059884428ead933011a561f4089b5bca1c415e7e954df617020a5831",
     "antichain --max": "cd4a92ad4ab61e72add72f68e9ceea971166c173761e9238fed2e16e6f5df8e2",
     "antichain --set 0": "984388d5df36bdfa8a4ac7b8033ca3629e8706bd84543290b789c24aaf9b831b",
