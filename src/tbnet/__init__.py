@@ -21,7 +21,7 @@ _EXPORTS = {
         "DisjointPathWitness", "TemporalMap", "antichain_to_leaf",
         "has_antichain_to_leaf_property",
         "is_antichain", "is_temporal", "max_antichain", "maximal_antichains",
-        "separates", "temporal_violating_antichain", "temporal_violation",
+        "route_to_leaves", "separates", "temporal_violating_antichain", "temporal_violation",
         "verify_temporal_map",
     ),
     "dot": ("export_dot",),

@@ -13,7 +13,10 @@ certificate in linear time without any flow.
 Both antichain queries are unit flows on the split DAG, searched in place:
 vertex v's in-copy 2v and out-copy 2v + 1 read their residual arcs off the
 network's child and parent lists, and no flow network is built.  Routing
-to the leaves is a maximum flow, a maximum antichain a minimum flow.  Only
+to the leaves is a maximum flow: each leaf member starts on its own
+one-vertex path, the other members go together in blocking-flow phases,
+and when the flow stops short its cut is the separator, checked by
+:func:`separates`.  A maximum antichain is a minimum flow.  Only
 :func:`maximal_antichains`, behind the size-bounded exhaustive check,
 holds descendant bitmasks.
 """
@@ -183,72 +186,148 @@ def max_antichain(net: PhyloNetwork) -> tuple[tuple[int, ...], tuple[tuple[int, 
     return antichain, tuple(chains)
 
 
+def route_to_leaves(net: PhyloNetwork, members: Iterable[int]):
+    """Vertex-disjoint paths from the members to the leaves, ``(paths,
+    None)``, or ``(None, separator)``: fewer vertices than the members, met
+    by every path from them to a leaf (a member may be one), so by Menger's
+    theorem no such paths exist.  ``paths[i]`` starts at the i-th distinct
+    member given.
+
+    One unit flow on the split DAG.  Each leaf member starts on its own
+    one-vertex path; the others are routed in blocking-flow phases, each a
+    level search from the members not yet routed, stopped at the first
+    free leaf's level, and a depth-first search per member in ascending id
+    that tries children in ascending id.  That is O(sqrt(n)) phases (Even
+    and Tarjan) of O(n + m), O(n) when every member is a leaf, and the
+    paths depend on the member set and the network alone.  The separator
+    is the flow's cut, which :func:`separates` checks (RuntimeError if not).
+
+    Raises ValueError if the members are not an antichain.
+    """
+    members = tuple(dict.fromkeys(members))
+    if not is_antichain(net, members):
+        raise ValueError("input vertex set is not an antichain")
+    children = net.children
+    todo = [a for a in members if children[a]]
+    if not todo:
+        return tuple([(a,) for a in members]), None
+    todo.sort()
+    n = net.num_vertices
+    sink = 2 * n
+    # The flow: v's unit comes from prv[v] and goes to nxt[v], where n
+    # stands for s and t, and -1 for no unit.  Residual arcs: v_in's to
+    # v_out while v is free, else to its predecessor's out-copy unless
+    # that is s; v_out's to its children's in-copies but its successor's,
+    # to v_in over v's unit, and to t if v is a free leaf.
+    prv, nxt = [-1] * n, [-1] * n
+    for a in members:
+        if not children[a]:
+            prv[a] = nxt[a] = n
+    while todo:
+        level = [-1] * (2 * n + 1)
+        frontier = [2 * a for a in todo]
+        for x in frontier:
+            level[x] = 0
+        depth = 0
+        while frontier and level[sink] < 0:
+            depth += 1
+            reached = []
+            for x in frontier:
+                v = x >> 1
+                if x & 1:
+                    kids, w = children[v], nxt[v]
+                    if not kids:
+                        level[sink] = depth
+                        break
+                    for c in kids:
+                        if c != w and level[2 * c] < 0:
+                            level[2 * c] = depth
+                            reached.append(2 * c)
+                    if w >= 0 and level[x - 1] < 0:
+                        level[x - 1] = depth
+                        reached.append(x - 1)
+                else:
+                    u = prv[v]
+                    y = x + 1 if u < 0 else 2 * u + 1
+                    if u != n and level[y] < 0:
+                        level[y] = depth
+                        reached.append(y)
+            frontier = reached
+        if level[sink] < 0:  # the cut: routed members not reached, vertices not crossed
+            separator = tuple(v for v in range(n) if (
+                level[2 * v + 1] < 0 if level[2 * v] >= 0 else prv[v] == n))
+            if not separates(net, members, separator):
+                raise RuntimeError("the flow's cut does not separate the antichain from the leaves")
+            return None, separator
+        for y in frontier:  # t's level, where only t counts
+            level[y] = -1
+        for a in todo:
+            # A path from a_in, and each node's current arc.  An in-copy has
+            # one residual arc, so it is entered with its successor.
+            stack, at = [2 * a, 2 * a + 1], [1, 0]
+            level[2 * a] = level[2 * a + 1] = -1  # entered nodes are spent for the phase
+            while stack:
+                x, i = stack[-1], at[-1]
+                up, v, y = len(stack), x >> 1, -1
+                kids, w = children[v], nxt[v]
+                while i < len(kids):
+                    c = kids[i]
+                    i += 1
+                    if c != w and level[2 * c] == up:
+                        y = 2 * c
+                        break
+                if y < 0 and i == len(kids):  # after the children, t or v_in
+                    i += 1
+                    if not kids:
+                        y = sink
+                    elif w >= 0 and level[x - 1] == up:
+                        y = x - 1
+                at[-1] = i
+                if y == sink:
+                    break
+                if y < 0:
+                    del stack[-2:], at[-2:]
+                    continue
+                level[y], u = -1, prv[y >> 1]
+                if u != n:
+                    z = y + 1 if u < 0 else 2 * u + 1
+                    if level[z] == up + 1:
+                        level[z] = -1
+                        stack += y, z
+                        at += 1, 0
+            if stack:  # a_in to a free leaf's out-copy: route a along it
+                prv[a] = nxt[stack[-1] >> 1] = n
+                for x, y in zip(stack, stack[1:]):
+                    if x & 1:  # each vertex's unit is entered and left once
+                        v = x >> 1
+                        if y == x - 1:
+                            prv[v] = nxt[v] = -1
+                        else:
+                            nxt[v], prv[y >> 1] = y >> 1, v
+        todo = [a for a in todo if prv[a] != n]
+    paths = []
+    for a in members:  # one unit, hence one path, through each member
+        path, v = [a], nxt[a]
+        while v != n:
+            if v < 0:
+                raise RuntimeError("flow decoding lost its way")
+            path.append(v)
+            v = nxt[v]
+        paths.append(tuple(path))
+    return tuple(paths), None
+
+
 def antichain_to_leaf(net: PhyloNetwork, antichain: Iterable[int]):
     """Can every member of the antichain reach a leaf along vertex-disjoint paths?
 
-    Unit vertex capacities (vertex splitting) reduce this to a max-flow
-    instance; the answer is True iff the flow value equals the antichain
-    size, in which case the witness paths are read off the flow.  Each
-    unit is found by a breadth-first search of the split DAG's residual,
-    O(k (n + m)) for k members.  The search tries children in ascending
-    id, so the paths depend on the network alone, not on its arc order.
+    ``(True, DisjointPathWitness)`` with the paths in ascending order of
+    their first vertex, or ``(False, None)``: :func:`route_to_leaves` on
+    the sorted members, without its separator.
 
     Raises ValueError if the input is not an antichain.
     """
-    members = tuple(sorted(set(antichain)))
-    if not is_antichain(net, members):
-        raise ValueError("input vertex set is not an antichain")
-    n = net.num_vertices
-    children = net.children
-    source, sink = 2 * n, 2 * n + 1
-    # The flow: v's unit comes from prv[v] and goes to nxt[v], where n
-    # stands for s and t, and -1 for no unit.
-    prv, nxt = [-1] * n, [-1] * n
-    for _ in members:
-        label = [-1] * (2 * n + 2)  # the node each node was reached from
-        queue = [2 * v for v in reversed(members) if prv[v] != n]
-        for x in queue:
-            label[x] = source
-        for x in queue:
-            v = x >> 1
-            if x & 1:
-                w, kids = nxt[v], children[v]
-                if not kids and w != n:
-                    label[sink] = x
-                    break
-                ys = [2 * c for c in kids if c != w] + [x - 1] * (w != -1)
-            else:
-                u = prv[v]
-                ys = [x + 1] if u == -1 else [2 * u + 1] if u != n else []
-            for y in ys:
-                if label[y] < 0:
-                    label[y] = x
-                    queue.append(y)
-        else:  # t is out of reach: the flow stops short of the members
-            return False, None
-        # Each vertex's unit is entered and left once on the path: the
-        # updates commute, and a unit taken back on an arc is replaced.
-        y = sink
-        while y != source:
-            x = label[y]
-            if x == source:
-                prv[y >> 1] = n
-            elif y == sink:
-                nxt[x >> 1] = n
-            elif x & 1 and y == x - 1:
-                prv[y >> 1] = nxt[y >> 1] = -1
-            elif x & 1:
-                nxt[x >> 1], prv[y >> 1] = y >> 1, x >> 1
-            y = x
-    paths = []
-    for a in members:  # one unit, hence one path, through each member
-        path = [a]
-        while nxt[path[-1]] != n:
-            if nxt[path[-1]] < 0:
-                raise RuntimeError("flow decoding lost its way")
-            path.append(nxt[path[-1]])
-        paths.append(tuple(path))
-    return True, DisjointPathWitness(tuple(paths))
+    paths = route_to_leaves(net, sorted(set(antichain)))[0]
+    return (False, None) if paths is None else (True, DisjointPathWitness(paths))
 
 
 def maximal_antichains(net: PhyloNetwork):

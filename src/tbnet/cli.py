@@ -302,8 +302,8 @@ def _resolve_vertices(net: PhyloNetwork, spec: str) -> tuple[int, ...]:
 
 
 def cmd_antichain(args, net: PhyloNetwork) -> Answer:
-    from .antichains import (antichain_to_leaf, has_antichain_to_leaf_property,
-                             is_temporal, max_antichain)
+    from .antichains import (has_antichain_to_leaf_property, is_temporal, max_antichain,
+                             route_to_leaves)
 
     if args.max:
         antichain, chains = max_antichain(net)
@@ -313,14 +313,17 @@ def cmd_antichain(args, net: PhyloNetwork) -> Answer:
     if args.set is not None:
         members = _resolve_vertices(net, args.set)
         try:
-            routed, witness = antichain_to_leaf(net, members)
+            paths, separator = route_to_leaves(net, members)
         except ValueError:
             raise CliError(f"{list(members)} is not an antichain") from None
+        routed = paths is not None
         payload = {"mode": "set", "set": members, "routes_to_leaves": routed,
-                   "paths": witness.paths if witness else None}
+                   "paths": paths, "separator": separator}
         human = [f"disjoint paths to leaves: {'yes' if routed else 'no'}"]
-        if witness:
-            human += ["  " + " -> ".join(map(str, p)) for p in witness.paths]
+        if routed:
+            human += ["  " + " -> ".join(map(str, p)) for p in paths]
+        else:
+            human.append(f"separator, met by every path from it to a leaf: {list(separator)}")
         return payload, human, 0 if routed else 1
     # --check-property
     strategy = "temporal-shortcut" if is_temporal(net)[0] else "exhaustive"

@@ -96,6 +96,21 @@ def ladder(k: int) -> tuple[PhyloNetwork, tuple[int, ...]]:
     return PhyloNetwork(arcs, labels), tuple(tails)
 
 
+def reaches_a_leaf(net: PhyloNetwork, starts, avoid) -> bool:
+    """Is there a path from ``starts`` to a vertex without children that
+    meets no vertex of ``avoid``?  The check of a separator that shares no
+    code with ``tbnet.separates``."""
+    seen, stack = set(avoid), [v for v in starts if v not in avoid]
+    while stack:
+        v = stack.pop()
+        if not net.children[v]:
+            return True
+        if v not in seen:
+            seen.add(v)
+            stack.extend(c for c in net.children[v] if c not in seen)
+    return False
+
+
 def corpus(count: int, max_leaves: int = 6, max_retics: int = 4,
            seed_base: int = 0, temporal_only: bool = False,
            max_vertices: int | None = None):

@@ -40,7 +40,7 @@ from tbnet.oracles import (
     oracle_temporal,
 )
 
-from conftest import FIXTURES, corpus, ladder, run_python
+from conftest import FIXTURES, corpus, ladder, reaches_a_leaf, run_python
 
 
 def test_is_antichain_basics(killer):
@@ -453,20 +453,6 @@ def reference_violating_antichain(net):
     return result
 
 
-def _reaches_a_leaf(net, starts, avoid):
-    """Is there a path from ``starts`` to a vertex without children that
-    meets no vertex of ``avoid``?"""
-    seen, stack = set(avoid), [v for v in starts if v not in avoid]
-    while stack:
-        v = stack.pop()
-        if not net.children[v]:
-            return True
-        if v not in seen:
-            seen.add(v)
-            stack.extend(c for c in net.children[v] if c not in seen)
-    return False
-
-
 # End tails that are heads too: the one W-fence is 6, 2, 5, 6, 1, 3, 2, both
 # end tails are dropped, and a separator that left them unmarked would fail.
 DROPPED_HEAD = PhyloNetwork([(0, 1), (0, 5), (1, 3), (1, 6), (2, 3), (3, 4), (5, 2), (5, 6),
@@ -486,7 +472,7 @@ def test_the_violation_keeps_its_antichain_and_its_separator_holds():
         assert antichain == reference_violating_antichain(net), net.edges
         assert temporal_violating_antichain(net) == antichain
         assert separates(net, antichain, separator), net.edges
-        assert not _reaches_a_leaf(net, antichain, separator)
+        assert not reaches_a_leaf(net, antichain, separator)
         found += 1
         dropped += len(antichain) < len(is_tree_based(net)[1].u1)
     assert found >= 31 + 7000 and dropped >= 4000  # the ladders and DROPPED_HEAD, then the corpus
@@ -502,7 +488,7 @@ def test_the_separator_check_refuses_mutants():
         assert not separates(net, antichain, ())
         for i in range(len(separator)):
             smaller = separator[:i] + separator[i + 1:]
-            if _reaches_a_leaf(net, antichain, smaller):
+            if reaches_a_leaf(net, antichain, smaller):
                 opened += 1
                 assert not separates(net, antichain, smaller)
     assert opened >= 600
@@ -527,3 +513,23 @@ def test_the_violating_antichain_scales_linearly(capsys):
     with capsys.disabled():
         print(f"\n[temporal_violating_antichain] ladder(300): {small * 1e3:.1f} ms, "
               f"ladder(3000): {big * 1e3:.1f} ms, ratio {big / small:.1f}x")
+
+
+def test_routing_every_leaf_scales_linearly(capsys):
+    # every leaf as the set: one flow search per member made this ~100x for
+    # 10x the vertices; seeding each leaf's own path gives ~10x
+    def best(leaves: int, retics: int) -> float:
+        net = generate(GenSpec(leaves, retics, 1))
+        runs = []
+        for _ in range(3):
+            start = time.perf_counter()
+            routed, _ = antichain_to_leaf(net, net.leaves)
+            runs.append(time.perf_counter() - start)
+            assert routed
+        return min(runs)
+
+    small, big = best(300, 201), best(3000, 2001)
+    assert big < 30.0 * small
+    with capsys.disabled():
+        print(f"\n[antichain_to_leaf] every leaf, 10^3: {small * 1e3:.2f} ms, "
+              f"10^4: {big * 1e3:.2f} ms, ratio {big / small:.1f}x")

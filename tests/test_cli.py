@@ -12,7 +12,7 @@ import jsonschema
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from tbnet import PhyloNetwork, is_tree_based, parse_enewick, parse_edgelist
+from tbnet import PhyloNetwork, is_tree_based, parse_enewick, parse_edgelist, separates
 from tbnet import treebased
 from tbnet.cli import _json_text, main, process_main
 from tbnet.treebased import zigzag_trails
@@ -326,6 +326,37 @@ def test_antichain_set_keeps_each_member_once(capsys):
     payload = env["payload"]
     assert payload["set"] == [x, killer.vertex_by_label("y")]
     assert len(payload["paths"]) == len(payload["set"])
+
+
+def test_antichain_set_lists_paths_in_the_order_given(capsys):
+    # in killer.nwk, 0 is a leaf and 3 reaches the leaf 1
+    code, env, _ = run_json(capsys, "antichain", fixture_path("killer.nwk"), "--set", "3,0")
+    assert code == 0
+    payload = env["payload"]
+    assert payload["set"] == [3, 0]
+    assert payload["paths"] == [[3, 1], [0]]
+    assert payload["separator"] is None
+    code, out, _ = run(capsys, "antichain", fixture_path("killer.nwk"), "--set", "3,0")
+    assert out == "disjoint paths to leaves: yes\n  3 -> 1\n  0\n"
+
+
+def test_antichain_set_no_carries_a_separator(capsys):
+    # the violating antichain that temporal names, given in descending order
+    code, env, _ = run_json(capsys, "antichain", fixture_path("temporal_nontb.edges"),
+                            "--set", "4,3")
+    assert code == 1
+    payload = env["payload"]
+    assert payload["routes_to_leaves"] is False and payload["paths"] is None
+    net = parse_edgelist((FIXTURES / "temporal_nontb.edges").read_text())
+    separator = payload.pop("separator")
+    assert separates(net, payload["set"], separator)
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(env, SCHEMA)
+    code, out, _ = run(capsys, "antichain", fixture_path("temporal_nontb.edges"),
+                       "--set", "4,3")
+    assert code == 1
+    assert out == ("disjoint paths to leaves: no\n"
+                   f"separator, met by every path from it to a leaf: {separator}\n")
 
 
 def test_antichain_set_rejects_non_antichain(capsys):

@@ -30,8 +30,8 @@ PINS = {
     "temporal": "c6590b1554ba45974aa811f8655a90282d7fc061072db0640da582589ff0cdc2",
     "complete": "2a8f032d059884428ead933011a561f4089b5bca1c415e7e954df617020a5831",
     "antichain --max": "cd4a92ad4ab61e72add72f68e9ceea971166c173761e9238fed2e16e6f5df8e2",
-    "antichain --set 0": "984388d5df36bdfa8a4ac7b8033ca3629e8706bd84543290b789c24aaf9b831b",
-    "antichain --set 0,1": "410188ee2578438815b25e77c5060606e910ff4f84d09b97b20fa2dbaa0d193b",
+    "antichain --set 0": "31c0ac12b1ff0dac4c38a532853029522124b2537743c6d526b816b4dac7badf",
+    "antichain --set 0,1": "26fd664f4c1b4ff505c58b21890cd34db406b665db03863c6d80cc73f24580b8",
     "antichain --check-property": "1562ab974ea5efdd1a96bbc95fd037bad665792100fe7c5a6c91fe61b349b8f8",
     "check --dot out.dot": "f7f49b4301bdf7692815f9412b2e2c3894c82137034379ba5e56ac5ff46eda80",
     "paths --dot out.dot": "6721689a43c98c56155504cf51bf12a7ca905ea70ecd03c7f5488bdcffa7d31a",

@@ -4,11 +4,14 @@ replaced, kept here as the reference.
 The reference builds the split DAG as four parallel arc lists (node 2v is
 v's in-copy, 2v + 1 its out-copy) and augments along breadth-first paths.
 Each vertex's out-arcs are added in descending child id, so they are
-scanned in ascending id.  ``antichain_to_leaf`` must give the same answer
-and the same paths, since it searches the same residual in the same order.
-``max_antichain`` runs Dinic phases instead, which may end at a different
-minimum flow: the antichain (t's reach in the final residual) is the same
-for all of them, the chain cover need only be a valid one.
+scanned in ascending id.  ``route_to_leaves`` must give the same answer.
+It seeds each leaf member's one-vertex path and routes the rest in Dinic
+phases, so it may end at another maximum flow: where its paths differ from
+the reference's, they must still be disjoint paths along arcs from each
+member to a leaf, and a "no" must come with a separator that a search
+sharing no code with ``separates`` confirms.  ``max_antichain`` runs Dinic
+phases too: the antichain (t's reach in the final residual) is the same for
+every minimum flow, the chain cover need only be a valid one.
 """
 
 import random
@@ -17,11 +20,11 @@ from collections import deque
 import pytest
 
 from tbnet import (GenerationError, GenSpec, antichain_to_leaf, generate, is_antichain,
-                   max_antichain, maximal_antichains)
+                   max_antichain, maximal_antichains, route_to_leaves, separates)
 from tbnet.oracles import _reach_sets
 from tbnet.treebased import zigzag_trails
 
-from conftest import corpus
+from conftest import corpus, reaches_a_leaf
 
 
 class _ArcListFlow:
@@ -119,9 +122,35 @@ def networks():
     return corpus(3000, max_leaves=7, max_retics=5, seed_base=91_000)
 
 
+def assert_routes(net, members, paths):
+    """Disjoint paths along arcs, the i-th from the i-th member to a leaf."""
+    arcs = set(net.edges)
+    assert [p[0] for p in paths] == list(members)
+    assert all(not net.children[p[-1]] for p in paths)
+    assert all(arc in arcs for p in paths for arc in zip(p, p[1:]))
+    on_paths = [v for p in paths for v in p]
+    assert len(set(on_paths)) == len(on_paths)
+
+
+def assert_refused(net, members, separator):
+    """The separator holds, an independent search agrees, and no mutant
+    passes: S grown to |A| vertices, an empty S, S less one vertex."""
+    assert separates(net, members, separator)
+    assert len(separator) < len(members) and not reaches_a_leaf(net, members, separator)
+    others = [v for v in range(net.num_vertices) if v not in separator]
+    grown = separator + tuple(others[:len(members) - len(separator)])
+    assert not separates(net, members, grown)
+    assert not separates(net, members, ())
+    for i in range(len(separator)):
+        smaller = separator[:i] + separator[i + 1:]
+        # |S| is the flow's value, so by Menger no smaller set separates
+        assert reaches_a_leaf(net, members, smaller)
+        assert not separates(net, members, smaller)
+
+
 def test_routing_matches_the_arc_list_flow(networks):
     rng = random.Random(5)
-    checked = refused = longer = 0
+    checked = refused = longer = changed = 0
     for net in networks:
         if net.num_vertices <= 18:
             sets = list(maximal_antichains(net))
@@ -134,14 +163,26 @@ def test_routing_matches_the_arc_list_flow(networks):
                         grown.append(v)
                 sets.append(sorted(grown))
         for members in sets:
-            routed, witness = antichain_to_leaf(net, members)
+            paths, separator = route_to_leaves(net, members)
             want_routed, want_paths = reference_antichain_to_leaf(net, tuple(members))
-            assert routed == want_routed
-            assert (witness.paths if witness else None) == want_paths
+            assert (paths is not None) == want_routed
+            routed, witness = antichain_to_leaf(net, members)
+            assert routed == want_routed and (witness.paths if witness else None) == paths
+            # the order given only orders the answer
+            backwards = route_to_leaves(net, members[::-1])
+            assert backwards == ((paths[::-1], None) if routed else (None, separator))
+            if routed:
+                assert separator is None
+                if paths != want_paths:
+                    changed += 1
+                    assert_routes(net, members, paths)
+            else:
+                assert_refused(net, members, separator)
             checked += 1
             refused += not routed
-            longer += routed and any(len(p) > 1 for p in witness.paths)
-    assert checked > 20_000 and refused > 1000 and longer > 1000
+            longer += routed and any(len(p) > 1 for p in paths)
+    # the phases keep the reference's paths on all but a few hundred sets
+    assert checked > 20_000 and refused > 1000 and longer > 1000 and changed * 100 < checked
 
 
 def reticulate(count: int):
