@@ -23,6 +23,7 @@ holds descendant bitmasks.
 
 from __future__ import annotations
 
+from operator import index
 from typing import Iterable, NamedTuple
 
 from .network import PhyloNetwork
@@ -43,14 +44,26 @@ def _reachable(net: PhyloNetwork, sources: Iterable[int]) -> bytearray:
     return seen
 
 
-def is_antichain(net: PhyloNetwork, vertices: Iterable[int]) -> bool:
-    """True iff the given vertices are pairwise unreachable from each other."""
-    members = set(vertices)
-    for v in members:
-        if not 0 <= v < net.num_vertices:
+def _vertices(net: PhyloNetwork, ids: Iterable[int]) -> tuple[int, ...]:
+    """The distinct ``ids``, first seen first, as plain ints; TypeError for
+    an id that is not an integer, ValueError for one outside 0..n-1."""
+    vertices, n = tuple(dict.fromkeys(map(index, ids))), net.num_vertices
+    for v in vertices:
+        if not 0 <= v < n:
             raise ValueError(f"vertex {v} out of range")
+    return vertices
+
+
+def _unreachable(net: PhyloNetwork, members: tuple[int, ...]) -> bool:
+    """:func:`is_antichain` on ids that :func:`_vertices` returned."""
     below = _reachable(net, (c for v in members for c in net.children[v]))
     return not any(below[v] for v in members)
+
+
+def is_antichain(net: PhyloNetwork, vertices: Iterable[int]) -> bool:
+    """True iff the given vertices are pairwise unreachable from each other;
+    TypeError for an id that is not an integer, ValueError for one out of range."""
+    return _unreachable(net, _vertices(net, vertices))
 
 
 class DisjointPathWitness(NamedTuple):
@@ -202,10 +215,11 @@ def route_to_leaves(net: PhyloNetwork, members: Iterable[int]):
     paths depend on the member set and the network alone.  The separator
     is the flow's cut, which :func:`separates` checks (RuntimeError if not).
 
-    Raises ValueError if the members are not an antichain.
+    Raises ValueError if the members are not an antichain or one is out of
+    range, and TypeError for an id that is not an integer.
     """
-    members = tuple(dict.fromkeys(members))
-    if not is_antichain(net, members):
+    members = _vertices(net, members)
+    if not _unreachable(net, members):
         raise ValueError("input vertex set is not an antichain")
     children = net.children
     todo = [a for a in members if children[a]]
@@ -505,13 +519,10 @@ def separates(net: PhyloNetwork, members: Iterable[int], separator: Iterable[int
     A member may lie in the separator.  One search from the members outside
     it, never entering it, must reach no such vertex: O(n + m).
 
-    Raises ValueError for a vertex out of range.
+    Raises ValueError for a vertex out of range, TypeError for a non-integer.
     """
-    starts, cut = set(members), set(separator)
+    starts, cut = _vertices(net, members), _vertices(net, separator)
     n, children = net.num_vertices, net.children
-    for v in starts | cut:
-        if not 0 <= v < n:
-            raise ValueError(f"vertex {v} out of range")
     if len(cut) >= len(starts):
         return False
     seen = bytearray(n)

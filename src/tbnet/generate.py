@@ -9,9 +9,9 @@ connecting edge is always oriented rank-upward and can never close a cycle.
 A rank is held exactly as ``m / 2**e``, its numerators ``m`` and exponents
 ``e`` in two int lists indexed by vertex; two ranks are compared after
 shifting to a common exponent.  The arcs are two more int lists, tails and
-heads.  Each leaf attachment and each reticulation is one inlined step of
-one loop, O(1) and with no call but the draw, which keeps million-edge
-generation practical.
+heads.  Each leaf attachment and each reticulation is one O(1) step of one
+loop, which calls only the draw and ``_mid``, the one midpoint rule; that
+keeps million-edge generation practical.
 
 ``generate`` refuses any shape with more than ``MAX_VERTICES`` vertices
 before it allocates anything.
@@ -78,11 +78,19 @@ class GenSpec(NamedTuple):
     temporal_only: bool = False
 
 
+def _mid(a: int, e: int, b: int, f: int) -> tuple[int, int]:
+    """The midpoint of the ranks ``a / 2**e`` and ``b / 2**f``, as a
+    numerator and an exponent one above the larger of the two."""
+    if e < f:
+        return (a << (f - e)) + b, f + 1
+    return a + (b << (e - f)), e + 1
+
+
 def _build(rng: SplitMix64, num_leaves: int, num_reticulations: int) -> PhyloNetwork:
     """Grow the network on four flat lists: arc tails and heads, and each
     vertex's rank as the numerator and exponent of ``m / 2**e``.  Arc k
     keeps its index when it is subdivided, which is what the draws pick."""
-    draw = rng.next_u64
+    draw, mid = rng.next_u64, _mid
     if num_leaves == 1:
         # Smallest one-leaf shape has two reticulations: root -> {a, r1},
         # a -> {r1, r2}, r1 -> r2 -> leaf.
@@ -99,11 +107,7 @@ def _build(rng: SplitMix64, num_leaves: int, num_reticulations: int) -> PhyloNet
         k = (draw() * m) >> 64
         s = m + 1
         u, v = tails[k], heads[k]
-        a, e, b, f = nums[u], exps[u], nums[v], exps[v]
-        if e < f:
-            a, e = (a << (f - e)) + b, f + 1
-        else:
-            a, e = a + (b << (e - f)), e + 1
+        a, e = mid(nums[u], exps[u], nums[v], exps[v])
         nums += (a, a + (1 << e))
         exps += (e, e)
         heads[k] = s
@@ -118,16 +122,8 @@ def _build(rng: SplitMix64, num_leaves: int, num_reticulations: int) -> PhyloNet
         if j >= i:
             j += 1
         u, v, w, x = tails[i], heads[i], tails[j], heads[j]
-        a, e, b, f = nums[u], exps[u], nums[v], exps[v]
-        if e < f:
-            a, e = (a << (f - e)) + b, f + 1
-        else:
-            a, e = a + (b << (e - f)), e + 1
-        c, g, b, f = nums[w], exps[w], nums[x], exps[x]
-        if g < f:
-            c, g = (c << (f - g)) + b, f + 1
-        else:
-            c, g = c + (b << (g - f)), g + 1
+        a, e = mid(nums[u], exps[u], nums[v], exps[v])
+        c, g = mid(nums[w], exps[w], nums[x], exps[x])
         ri, rj = (a, c << (e - g)) if g < e else (a << (g - e), c)
         if rj < ri:
             i, j, u, v, w, x, a, e, c, g = j, i, w, x, u, v, c, g, a, e
@@ -136,10 +132,8 @@ def _build(rng: SplitMix64, num_leaves: int, num_reticulations: int) -> PhyloNet
         if ri == rj:
             # Same midpoint rank: nudge the two into strict order inside
             # their own intervals (donor low quartile, receiver high).
-            b, f = nums[u], exps[u]
-            a, e = ((a << (f - e)) + b, f + 1) if e < f else (a + (b << (e - f)), e + 1)
-            b, f = nums[x], exps[x]
-            c, g = ((c << (f - g)) + b, f + 1) if g < f else (c + (b << (g - f)), g + 1)
+            a, e = mid(a, e, nums[u], exps[u])
+            c, g = mid(c, g, nums[x], exps[x])
         nums += (a, c)
         exps += (e, g)
         heads[i], heads[j] = s, t

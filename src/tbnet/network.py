@@ -7,11 +7,11 @@ and out-degree 1.  A single labeled vertex (no edges) is allowed as the
 one-leaf degenerate case.
 
 Vertices are dense non-negative integers ``0..n-1``.  Construction takes
-the child and parent lists, built once by whoever holds the graph.  Each
-rule is checked in one place: the arc pass that builds lists from arcs
-refuses ids out of range and self-loops, and one check on the lists runs a
-whole-graph test per remaining rule, listing violations only for a rule
-whose test fails.  :func:`validate` runs the same two.
+the child and parent lists, which one builder makes from any arc list.
+Each rule is checked in one place: a scan of the arcs refuses ids out of
+range and self-loops, and one check on the lists runs a whole-graph test
+per remaining rule, listing violations only for a rule whose test fails.
+:func:`validate` runs the same two.
 The network keeps no arc list: ``edges`` is read off the child lists, in
 ascending order, so no answer depends on the order the input listed its
 arcs in.  The sorted labels and the topological order are computed on
@@ -91,14 +91,15 @@ def validate(graph: Digraph) -> ValidationReport:
     n, edges, leaf_labels = graph
     if n <= 0:
         return ValidationReport(False, (Violation("empty", (), "network has no vertices"),))
-    kids, pars, bad = _arc_lists(n, sorted(edges))  # the report does not depend on arc order
-    return ValidationReport(False, tuple(bad)) if bad else _check(kids, pars, leaf_labels)[1]
+    edges = sorted(edges)  # the report does not depend on arc order
+    bad = _arc_violations(n, edges)
+    return ValidationReport(False, bad) if bad else _check(*_adjacency(n, edges), leaf_labels)[1]
 
 
 def _adjacency(n: int, edges: Iterable[Edge]) -> tuple[list[list[int]], list[list[int]]]:
     """The child and parent lists of the arcs ``edges`` on ``n`` vertices,
-    in arc order, for producers whose ids are dense by construction.  An id
-    of n or more raises IndexError; a negative id is not caught."""
+    in arc order: the one list builder.  It checks no id, so a caller runs
+    :func:`_arc_violations` first unless its ids are dense by construction."""
     kids, pars = [[] for _ in range(n)], [[] for _ in range(n)]
     for u, v in edges:
         kids[u].append(v)
@@ -106,20 +107,16 @@ def _adjacency(n: int, edges: Iterable[Edge]) -> tuple[list[list[int]], list[lis
     return kids, pars
 
 
-def _arc_lists(n: int, edges: Iterable[Edge]) -> tuple[list[list[int]], list[list[int]], list[Violation]]:
-    """The child and parent lists of the arcs ``edges`` on ``n`` vertices,
-    in arc order, and the arc rules' violations: an id outside 0..n-1 or a
-    self-loop, each left out of the lists."""
-    kids, pars, bad = [[] for _ in range(n)], [[] for _ in range(n)], []
+def _arc_violations(n: int, edges: Iterable[Edge]) -> tuple[Violation, ...]:
+    """The arc rules' violations among ``edges`` on ``n`` vertices, in arc
+    order: an id outside 0..n-1 or a self-loop."""
+    bad = []
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
             bad.append(Violation("vertex-range", (u, v), f"edge ({u}, {v}) references a vertex outside 0..{n - 1}"))
         elif u == v:
             bad.append(Violation("self-loop", (u,), f"self-loop at vertex {u}"))
-        else:
-            kids[u].append(v)
-            pars[v].append(u)
-    return kids, pars, bad
+    return tuple(bad)
 
 
 def _check(kids: list, pars: list, labels: Mapping[int, str]):
@@ -134,15 +131,12 @@ def _check(kids: list, pars: list, labels: Mapping[int, str]):
     ins, outs = list(map(len, pars)), list(map(len, kids))
     signatures_ok = set(zip(ins, outs)) <= _SIGNATURES or n == 1 and not kids[0]
     repeated = False
-    for ws in kids:
+    for ws in chain(kids, pars):  # a repeated parent is a repeated child too
         if len(ws) == 2 and ws[0] >= ws[1]:
             if ws[0] == ws[1]:
                 repeated = True
             else:
                 ws.reverse()
-    for ws in pars:
-        if len(ws) == 2 and ws[0] > ws[1]:
-            ws.reverse()
     bad: list[Violation] = []
     if repeated or not signatures_ok:
         for u, ws in enumerate(kids):
@@ -197,9 +191,10 @@ class PhyloNetwork:
     carrying the report of :func:`validate`.  One core, :meth:`from_lists`,
     takes the child and parent lists, runs the one check of the graph rules
     and fills the fields.  ``PhyloNetwork(edges, leaf_labels)`` is its
-    front end for an arc list, whose arc pass refuses ids out of range and
-    self-loops; the readers, :func:`attach_leaves` and the generator make
-    dense int ids and call the core.  Instances are
+    front end for an arc list: it refuses ids out of range and self-loops,
+    then builds the lists as the readers and the generator do, whose ids
+    are dense ints by construction; :func:`attach_leaves` splices the lists
+    it is given.  Instances are
     immutable: adjacency tuples are computed at construction and the label
     map is exposed read-only.  ``_by_label``, ``_trails`` and ``_temporal``
     keep the label index, the walk and the temporal test, which
@@ -220,10 +215,9 @@ class PhyloNetwork:
         if num_vertices is None:
             num_vertices = max(max(chain.from_iterable(edge_tuple), default=-1),
                                max(labels, default=-1)) + 1
-        kids, pars, bad = _arc_lists(num_vertices, edge_tuple)
-        if bad:  # validate lists these in ascending arc order
+        if _arc_violations(num_vertices, edge_tuple):  # validate lists these in ascending arc order
             raise InvalidNetworkError(validate(Digraph(num_vertices, edge_tuple, labels)))
-        self._build(kids, pars, labels)
+        self._build(*_adjacency(num_vertices, edge_tuple), labels)
 
     @classmethod
     def from_lists(cls, children: list, parents: list, leaf_labels: dict[int, str]) -> PhyloNetwork:
@@ -297,11 +291,13 @@ class PhyloNetwork:
 def attach_leaves(net: PhyloNetwork, edges: Sequence[Edge], labels: Sequence[str]) -> PhyloNetwork:
     """Replace the i-th of ``edges``, an arc (u, v) of ``net``, by u -> s ->
     v, with a fresh vertex s = n + 2i, and hang a new leaf s + 1 with the
-    i-th of ``labels`` off s; the result is built once."""
+    i-th of ``labels`` off s; the result is built once.  TypeError for an
+    id that is not an integer, ValueError for a pair that is no arc of ``net``."""
     kids, pars = list(net.children), list(net.parents)
     leaf_labels = dict(net.leaf_labels)
     for (u, v), label in zip(edges, labels, strict=True):
-        s = len(kids)  # exceeds every id before it: each spliced tuple stays ascending
+        # s exceeds every id before it: each spliced tuple stays ascending
+        u, v, s = index(u), index(v), len(kids)
         if not (0 <= u < net.num_vertices and v in kids[u]):
             raise ValueError(f"({u}, {v}) is not an edge of the network")
         kids[u] = tuple(w for w in kids[u] if w != v) + (s,)

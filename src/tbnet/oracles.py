@@ -44,13 +44,18 @@ def _tree_leaves(net: PhyloNetwork, tree_edges) -> list[int]:
     return [v for v in range(net.num_vertices) if not has_out[v]]
 
 
-def oracle_tree_based(net: PhyloNetwork, max_vertices: int = 20) -> bool:
-    """Some spanning tree has all its leaves labeled."""
-    _guard(net, max_vertices, "tree-based")
+def _has_base_tree(net: PhyloNetwork) -> bool:
+    """Some spanning tree has all its leaves labeled: tree-based by definition."""
     labeled = set(net.leaves)
     return any(
         all(v in labeled for v in _tree_leaves(net, t)) for t in iter_spanning_trees(net)
     )
+
+
+def oracle_tree_based(net: PhyloNetwork, max_vertices: int = 20) -> bool:
+    """Some spanning tree has all its leaves labeled."""
+    _guard(net, max_vertices, "tree-based")
+    return _has_base_tree(net)
 
 
 def oracle_min_spanning_tree_extra_leaves(net: PhyloNetwork, max_vertices: int = 20) -> int:
@@ -126,12 +131,7 @@ def oracle_min_attachments(net: PhyloNetwork, max_reticulations: int = 3,
     positions = [e for e in net.edges if e[1] in retic]
     for k in range(len(positions) + 1):
         for subset in itertools.combinations(positions, k):
-            bigger = _attach_run(net, subset)
-            good = set(bigger.leaves)
-            if any(
-                all(v in good for v in _tree_leaves(bigger, t))
-                for t in iter_spanning_trees(bigger)
-            ):
+            if _has_base_tree(_attach_run(net, subset)):
                 return k
     raise AssertionError("attaching to every reticulation edge must succeed")
 
@@ -142,12 +142,7 @@ def oracle_min_attachments_unrestricted(net: PhyloNetwork, upper: int,
     _guard(net, max_vertices, "unrestricted-attachments")
     for k in range(upper + 1):
         for multiset in itertools.combinations_with_replacement(net.edges, k):
-            bigger = _attach_run(net, multiset)
-            good = set(bigger.leaves)
-            if any(
-                all(v in good for v in _tree_leaves(bigger, t))
-                for t in iter_spanning_trees(bigger)
-            ):
+            if _has_base_tree(_attach_run(net, multiset)):
                 return k
     return None
 

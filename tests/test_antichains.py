@@ -24,6 +24,7 @@ from tbnet import (
     parse_edgelist,
     parse_enewick,
     rooted_spanning_tree,
+    route_to_leaves,
     separates,
     temporal_violating_antichain,
     temporal_violation,
@@ -50,6 +51,19 @@ def test_is_antichain_basics(killer):
     assert not is_antichain(killer, (killer.root, x))
     with pytest.raises(ValueError):
         is_antichain(killer, (killer.num_vertices,))
+    # caller ids go through operator.index, as PhyloNetwork's do: a bool
+    # comes back a plain int, and a float is refused, not looked up
+    net = parse_enewick("((a,(b)#H1),(#H1,c));")
+    for paths in (route_to_leaves(net, [True])[0], antichain_to_leaf(net, [True])[1].paths):
+        assert paths == ((1,),) and type(paths[0][0]) is int
+    assert is_antichain(net, [True, 0, 1]) and not separates(net, [True, 0], [False])
+    for call in (lambda: is_antichain(net, [1.0]), lambda: separates(net, [1.0, 2], [0]),
+                 lambda: separates(net, [1, 2], [0.0]), lambda: route_to_leaves(net, [1.0]),
+                 lambda: PhyloNetwork([(0, 1.0), (0, 2)], {1: "a", 2: "b"})):
+        with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+            call()
+    with pytest.raises(ValueError, match="vertex -1 out of range"):
+        separates(net, [1, 2], [-1])
 
 
 def test_is_antichain_matches_oracle():

@@ -150,6 +150,17 @@ def test_subdivide_unknown_edge():
             attach_leaf(graph, edge, "c")
 
 
+def test_attach_leaf_makes_every_id_a_plain_int():
+    # as the arc front end does: a bool is an int, a float is refused
+    net = parse_enewick("((a,(b)#H1),(#H1,c));")
+    out = attach_leaf(net, (2, True), "z")
+    assert out.children[7] == (1, 8) and attach_leaves(net, [(2, 1)], ["z"]).edges == out.edges
+    ids = [x for lists in (out.children, out.parents, out.edges) for xs in lists for x in xs]
+    assert {type(x) for x in ids} == {int}
+    with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+        attach_leaf(net, (1.0, 2), "z")
+
+
 def test_attach_leaf_counts():
     net = PhyloNetwork(*TWO_LEAF)
     out = attach_leaf(net, (0, 1), "c")
