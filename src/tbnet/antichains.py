@@ -24,7 +24,7 @@ holds descendant bitmasks.
 from __future__ import annotations
 
 from operator import index
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from .network import PhyloNetwork
 from .treebased import is_tree_based, zigzag_trails
@@ -32,9 +32,11 @@ from .treebased import is_tree_based, zigzag_trails
 DEFAULT_EXHAUSTIVE_BOUND = 18
 
 
-def _reachable(net: PhyloNetwork, sources: Iterable[int]) -> bytearray:
-    """Flags of every vertex reachable from ``sources``, sources included."""
+def _reachable(net: PhyloNetwork, sources: Iterable[int], blocked: Iterable[int] = ()) -> bytearray:
+    """1 for each vertex reachable from ``sources`` around ``blocked``, 2 for each blocked one."""
     seen = bytearray(net.num_vertices)
+    for v in blocked:
+        seen[v] = 2
     stack = list(sources)
     while stack:
         v = stack.pop()
@@ -194,7 +196,7 @@ def max_antichain(net: PhyloNetwork) -> tuple[tuple[int, ...], tuple[tuple[int, 
         chains.append(tuple(chain))
     chains.sort()
 
-    if len(antichain) != len(chains) or not is_antichain(net, antichain):
+    if len(antichain) != len(chains) or not _unreachable(net, antichain):
         raise RuntimeError("Dilworth witnesses disagree")
     return antichain, tuple(chains)
 
@@ -407,7 +409,10 @@ def has_antichain_to_leaf_property(net: PhyloNetwork, mode: str = "exhaustive") 
     if net.num_vertices > DEFAULT_EXHAUSTIVE_BOUND:
         raise ValueError(f"exhaustive antichain check limited to {DEFAULT_EXHAUSTIVE_BOUND} vertices "
                          f"(got {net.num_vertices})")
-    return all(antichain_to_leaf(net, antichain)[0] for antichain in maximal_antichains(net))
+    try:
+        return all(route_to_leaves(net, antichain)[0] is not None for antichain in maximal_antichains(net))
+    except ValueError as exc:  # each is an antichain of ids in range, by construction
+        raise RuntimeError(f"the exhaustive route refused its own antichain: {exc}") from exc
 
 
 class TemporalMap(NamedTuple):
@@ -449,13 +454,24 @@ def is_temporal(net: PhyloNetwork) -> tuple[bool, TemporalMap | None]:
 
 def _temporal_test(net: PhyloNetwork) -> tuple[bool, TemporalMap | None]:
     """:func:`is_temporal`, decided afresh."""
-    n, children, parents, in_degree = net.num_vertices, net.children, net.parents, net.in_degree
+    tm = temporal_map(net.children, net.parents, net.in_degree, net.reticulations, net.root)
+    if tm is not None:
+        verify_temporal_map(net, tm)
+    return tm is not None, tm
+
+
+def temporal_map(children: Sequence[Sequence[int]], parents: Sequence[Sequence[int]],
+                 in_degree: Sequence[int], reticulations: Iterable[int], root: int) -> TemporalMap | None:
+    """The map :func:`is_temporal` assigns, unchecked, or None if there is none,
+    to the network with these child and parent lists (each in any order),
+    in-degrees, reticulations in ascending id, and root."""
+    n = len(children)
     # A component of reticulation arcs is named by its smallest
     # reticulation, from which one search labels it; any other vertex names
     # its own group.  The search walks reticulations, and labels each tree
     # parent with that parent's reticulation children.
     group = list(range(n))
-    for r in net.reticulations:
+    for r in reticulations:
         if group[r] != r:
             continue
         todo = [r]
@@ -481,7 +497,7 @@ def _temporal_test(net: PhyloNetwork) -> tuple[bool, TemporalMap | None]:
         if in_degree[v] == 1:
             g, h = group[parents[v][0]], group[v]
             if g == h:
-                return False, None
+                return None
             succ[g].append(h)
             indeg[h] += 1
 
@@ -490,7 +506,7 @@ def _temporal_test(net: PhyloNetwork) -> tuple[bool, TemporalMap | None]:
     # tree vertex, unless it holds the root: the root's group is the only
     # one that can start with no tree edge in.
     level = [0] * n
-    root = group[net.root]
+    root = group[root]
     stack = [] if indeg[root] else [root]
     while stack:
         g = stack.pop()
@@ -502,11 +518,8 @@ def _temporal_test(net: PhyloNetwork) -> tuple[bool, TemporalMap | None]:
             if not indeg[h]:
                 stack.append(h)
     if any(indeg):  # a group on or below a cycle was never popped
-        return False, None
-
-    tm = TemporalMap(tuple([level[g] for g in group]))
-    verify_temporal_map(net, tm)
-    return True, tm
+        return None
+    return TemporalMap(tuple([level[g] for g in group]))
 
 
 def separates(net: PhyloNetwork, members: Iterable[int], separator: Iterable[int]) -> bool:
@@ -514,29 +527,15 @@ def separates(net: PhyloNetwork, members: Iterable[int], separator: Iterable[int
     along vertex-disjoint paths?
 
     True iff the separator has fewer vertices than the members and meets
-    every path from a member to a vertex without children: by Menger's
+    every path from a member to a vertex without children (a member may
+    lie in it), checked by one search around it in O(n + m): by Menger's
     theorem no family of |members| vertex-disjoint such paths then exists.
-    A member may lie in the separator.  One search from the members outside
-    it, never entering it, must reach no such vertex: O(n + m).
 
     Raises ValueError for a vertex out of range, TypeError for a non-integer.
     """
     starts, cut = _vertices(net, members), _vertices(net, separator)
-    n, children = net.num_vertices, net.children
-    if len(cut) >= len(starts):
-        return False
-    seen = bytearray(n)
-    for v in cut:
-        seen[v] = 1
-    stack = list(starts)
-    while stack:
-        v = stack.pop()
-        if not seen[v]:
-            if not children[v]:
-                return False
-            seen[v] = 1
-            stack.extend(children[v])
-    return True
+    reached = _reachable(net, starts, cut)
+    return len(cut) < len(starts) and not any(reached[v] == 1 for v in net.leaves)
 
 
 def temporal_violation(net: PhyloNetwork) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -572,7 +571,7 @@ def temporal_violation(net: PhyloNetwork) -> tuple[tuple[int, ...], tuple[int, .
             marked.add(v)
             stack += [u for u in parents[v] if in_degree[u] == 2]
     separator = tuple(sorted(h for h in heads if h not in marked))
-    if not is_antichain(net, antichain):
+    if not _unreachable(net, antichain):
         raise RuntimeError("comparable pair with no reticulation route")
     if not separates(net, antichain, separator):
         raise RuntimeError("the heads left do not cut the antichain off the leaves")

@@ -23,8 +23,8 @@ its own layers: ``check``, ``indices``, ``paths``, ``spanning-tree`` and
 ``complete`` load ``network``, the reader and ``treebased``;
 ``antichains``, ``generate`` and ``dot`` load only where they are used.
 No subcommand loads ``matching``, the reference route, ``dataclasses``,
-``json`` or ``hashlib``; the input digest comes from the builtin
-``_sha256``.  :func:`main` builds the parser of the subcommand it runs
+``json`` or ``hashlib``; the input digest comes from the builtin ``_sha2``
+or ``_sha256``.  :func:`main` builds the parser of the subcommand it runs
 and no other, and turns the cyclic garbage collector off while a query
 runs, since a query's structures hold no reference cycles, and restores
 the caller's setting on return.  :func:`process_main`, the one entry
@@ -43,10 +43,13 @@ import time
 from itertools import chain
 from typing import NoReturn
 
-try:  # the builtin module; hashlib would also load OpenSSL
-    from _sha256 import sha256
+try:  # the builtin module (_sha2 from Python 3.12 on); hashlib would also load OpenSSL
+    from _sha2 import sha256
 except ImportError:
-    from hashlib import sha256
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 from . import __version__
 from .enewick import ParseError, parse_enewick, serialize_enewick
@@ -272,8 +275,7 @@ def cmd_complete(args, net: PhyloNetwork) -> Answer:
     }
     if args.out is not None:
         _write_network(args.out, result.network, text)
-    # attach_leaves gives the i-th new leaf the id n + 2i + 1
-    _dot(args, result.network, attached=range(net.num_vertices + 1, result.network.num_vertices, 2))
+    _dot(args, result.network, attached=result.network.leaves[len(net.leaves):])  # the sinks above every input id
     return payload, [f"attached {len(result.attached_edges)} leaf(s)", text], 0
 
 
@@ -329,7 +331,7 @@ def cmd_antichain(args, net: PhyloNetwork) -> Answer:
     strategy = "temporal-shortcut" if is_temporal(net)[0] else "exhaustive"
     try:
         holds = has_antichain_to_leaf_property(net, strategy)
-    except ValueError as exc:
+    except ValueError as exc:  # the size refusal; a fault in the route is a RuntimeError
         raise CliError(str(exc)) from exc
     payload = {"mode": "check-property", "strategy": strategy, "holds": holds}
     human = [f"antichain-to-leaf property: {'holds' if holds else 'fails'} ({strategy})"]

@@ -86,10 +86,11 @@ def _mid(a: int, e: int, b: int, f: int) -> tuple[int, int]:
     return a + (b << (e - f)), e + 1
 
 
-def _build(rng: SplitMix64, num_leaves: int, num_reticulations: int) -> PhyloNetwork:
-    """Grow the network on four flat lists: arc tails and heads, and each
-    vertex's rank as the numerator and exponent of ``m / 2**e``.  Arc k
-    keeps its index when it is subdivided, which is what the draws pick."""
+def _build(rng: SplitMix64, num_leaves: int, num_reticulations: int) -> tuple[list, list]:
+    """The child and parent lists of a network grown on four flat lists:
+    arc tails and heads, and each vertex's rank as the numerator and
+    exponent of ``m / 2**e``.  Arc k keeps its index when it is subdivided,
+    which is what the draws pick."""
     draw, mid = rng.next_u64, _mid
     if num_leaves == 1:
         # Smallest one-leaf shape has two reticulations: root -> {a, r1},
@@ -143,10 +144,7 @@ def _build(rng: SplitMix64, num_leaves: int, num_reticulations: int) -> PhyloNet
     # of them.
     n = len(nums)
     del nums, exps
-    kids, pars = _adjacency(n, zip(tails, heads))
-    del tails, heads
-    labels = dict(zip(compress(count(), map(not_, kids)), map("x{}".format, count(1))))
-    return PhyloNetwork.from_lists(kids, pars, labels)
+    return _adjacency(n, zip(tails, heads))
 
 
 def generate(spec: GenSpec) -> PhyloNetwork:
@@ -176,15 +174,20 @@ def generate(spec: GenSpec) -> PhyloNetwork:
         return PhyloNetwork((), {0: "x1"}, 1)
 
     if spec.temporal_only:
-        from .antichains import is_temporal
+        from .antichains import temporal_map
 
     for attempt in range(TEMPORAL_ATTEMPTS if spec.temporal_only else 1):
         stream_seed = (spec.seed ^ (attempt * 0xA5A5B5B5C5C5D5D5)) & _MASK64
-        net = _build(SplitMix64(stream_seed), spec.num_leaves, spec.num_reticulations)
+        kids, pars = _build(SplitMix64(stream_seed), spec.num_leaves, spec.num_reticulations)
+        if spec.temporal_only:  # decided on the lists (root 0), so only the network kept is built
+            ins = list(map(len, pars))
+            if temporal_map(kids, pars, ins, [v for v in range(len(ins)) if ins[v] == 2], 0) is None:
+                continue
+        labels = dict(zip(compress(count(), map(not_, kids)), map("x{}".format, count(1))))
+        net = PhyloNetwork.from_lists(kids, pars, labels)
         if net.num_vertices != expected:
             raise RuntimeError("generator broke the degree identity")
-        if not spec.temporal_only or is_temporal(net)[0]:
-            return net
+        return net
     raise GenerationError(
         f"no temporal network found for {spec} within {TEMPORAL_ATTEMPTS} attempts"
     )

@@ -16,7 +16,7 @@ and is iterative throughout.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .network import PhyloNetwork
 from .treebased import zigzag_trails
@@ -24,8 +24,7 @@ from .treebased import zigzag_trails
 _INF = float("inf")
 
 
-@dataclass(frozen=True)
-class BipartiteGraph:
+class BipartiteGraph(NamedTuple):
     """Bipartite graph with back-references into the originating network.
 
     ``left_ids[i]`` / ``right_ids[j]`` give the network vertex behind left
@@ -46,8 +45,7 @@ class BipartiteGraph:
         return len(self.right_ids)
 
 
-@dataclass(frozen=True)
-class Matching:
+class Matching(NamedTuple):
     """A matching plus the unmatched remainder on both sides (indices)."""
 
     pairs: tuple[tuple[int, int], ...]
@@ -164,36 +162,23 @@ def verify_matching(g: BipartiteGraph, m: Matching) -> None:
     _require(len(m.unmatched_right) + len(m.pairs) == g.n_right, "right side miscounted")
 
 
-def has_augmenting_path(g: BipartiteGraph, m: Matching) -> bool:
-    """One alternating BFS pass: does any unmatched left reach an unmatched right?"""
-    right_match = m.right_match
-    visited = [False] * g.n_left
-    queue = deque()
-    for u in m.unmatched_left:
-        visited[u] = True
-        queue.append(u)
-    while queue:
-        u = queue.popleft()
-        for v in g.adj[u]:
-            w = right_match[v]
-            if w == -1:
-                return True
-            if not visited[w]:
-                visited[w] = True
-                queue.append(w)
-    return False
-
-
 def assert_maximum(g: BipartiteGraph, m: Matching) -> None:
+    """Raise AssertionError unless ``m`` is a maximum matching of ``g``: by
+    König's theorem, exactly when :func:`min_vertex_cover` has |m| vertices."""
     verify_matching(g, m)
-    _require(not has_augmenting_path(g, m), "matching admits an augmenting path")
+    left, right = min_vertex_cover(g, m)
+    _require(len(left) + len(right) == m.size, "matching admits an augmenting path")
 
 
 def min_vertex_cover(g: BipartiteGraph, m: Matching) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Minimum vertex cover from a maximum matching (Koenig's construction).
 
-    Returns (left indices, right indices): every edge touches the cover
-    and |cover| = |matching|.
+    Returns (left indices, right indices): the left vertices that no
+    alternating path from an unmatched left vertex reaches, and the right
+    vertices that one does.  Every edge touches the cover, and each matched
+    pair puts one vertex in it, so |cover| is |matching| plus the unmatched
+    right vertices reached: exactly |matching| when the matching is
+    maximum, one more per such vertex (an augmenting path's end) when not.
     """
     visited_l = [False] * g.n_left
     visited_r = [False] * g.n_right

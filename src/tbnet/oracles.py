@@ -3,7 +3,7 @@
 Everything here mirrors a definition as directly as possible and is meant
 to cross-check the fast algorithms on small inputs; nothing is shared with
 the production code paths beyond the network type itself.  Each oracle
-guards its input size and raises ValueError beyond it.
+guards its input size with a fixed bound and raises ValueError beyond it.
 """
 
 from __future__ import annotations
@@ -52,15 +52,15 @@ def _has_base_tree(net: PhyloNetwork) -> bool:
     )
 
 
-def oracle_tree_based(net: PhyloNetwork, max_vertices: int = 20) -> bool:
+def oracle_tree_based(net: PhyloNetwork) -> bool:
     """Some spanning tree has all its leaves labeled."""
-    _guard(net, max_vertices, "tree-based")
+    _guard(net, 20, "tree-based")
     return _has_base_tree(net)
 
 
-def oracle_min_spanning_tree_extra_leaves(net: PhyloNetwork, max_vertices: int = 20) -> int:
+def oracle_min_spanning_tree_extra_leaves(net: PhyloNetwork) -> int:
     """Minimum number of unlabeled leaves over all rooted spanning trees."""
-    _guard(net, max_vertices, "spanning-tree-leaves")
+    _guard(net, 20, "spanning-tree-leaves")
     labeled = set(net.leaves)
     return min(
         sum(1 for v in _tree_leaves(net, t) if v not in labeled)
@@ -68,14 +68,14 @@ def oracle_min_spanning_tree_extra_leaves(net: PhyloNetwork, max_vertices: int =
     )
 
 
-def oracle_min_path_partition(net: PhyloNetwork, max_vertices: int = 16) -> int:
+def oracle_min_path_partition(net: PhyloNetwork) -> int:
     """Minimum number of vertex-disjoint directed paths partitioning V.
 
     Exact search: scan vertices in topological order; each either starts a
     new path or extends a path whose current end is one of its parents.
     Memoized on (position, set of current path ends).
     """
-    _guard(net, max_vertices, "path-partition")
+    _guard(net, 16, "path-partition")
     order = net.topological_order()
     parents = net.parents
     memo: dict[tuple[int, int], int] = {}
@@ -114,8 +114,7 @@ def _attach_run(net: PhyloNetwork, targets) -> PhyloNetwork:
     return current
 
 
-def oracle_min_attachments(net: PhyloNetwork, max_reticulations: int = 3,
-                           max_vertices: int = 20) -> int:
+def oracle_min_attachments(net: PhyloNetwork) -> int:
     """Minimum leaf attachments (over reticulation-edge subsets) giving a
     tree-based network.
 
@@ -124,8 +123,8 @@ def oracle_min_attachments(net: PhyloNetwork, max_reticulations: int = 3,
     restriction to reticulation edges is the one the completion argument
     justifies; ``oracle_min_attachments_unrestricted`` exists to probe it.
     """
-    _guard(net, max_vertices, "attachments")
-    if len(net.reticulations) > max_reticulations:
+    _guard(net, 20, "attachments")
+    if len(net.reticulations) > 3:
         raise ValueError("attachments oracle limited to 3 reticulations")
     retic = set(net.reticulations)
     positions = [e for e in net.edges if e[1] in retic]
@@ -136,10 +135,9 @@ def oracle_min_attachments(net: PhyloNetwork, max_reticulations: int = 3,
     raise AssertionError("attaching to every reticulation edge must succeed")
 
 
-def oracle_min_attachments_unrestricted(net: PhyloNetwork, upper: int,
-                                        max_vertices: int = 12) -> int | None:
+def oracle_min_attachments_unrestricted(net: PhyloNetwork, upper: int) -> int | None:
     """Minimum attachments over *all* edge multisets of size <= upper."""
-    _guard(net, max_vertices, "unrestricted-attachments")
+    _guard(net, 12, "unrestricted-attachments")
     for k in range(upper + 1):
         for multiset in itertools.combinations_with_replacement(net.edges, k):
             if _has_base_tree(_attach_run(net, multiset)):
@@ -187,9 +185,9 @@ def _iter_antichains(net: PhyloNetwork):
     yield from rec(0, (), 0)
 
 
-def oracle_max_antichain(net: PhyloNetwork, max_vertices: int = 18) -> int:
+def oracle_max_antichain(net: PhyloNetwork) -> int:
     """Size of a maximum antichain by exhaustive enumeration."""
-    _guard(net, max_vertices, "max-antichain")
+    _guard(net, 18, "max-antichain")
     return max(len(a) for a in _iter_antichains(net))
 
 
@@ -217,15 +215,15 @@ def _route_disjoint(net: PhyloNetwork, members: tuple[int, ...]) -> bool:
     return place(0, set())
 
 
-def oracle_antichain_to_leaf_property(net: PhyloNetwork, max_vertices: int = 16) -> bool:
+def oracle_antichain_to_leaf_property(net: PhyloNetwork) -> bool:
     """Check the definition verbatim: every antichain routes disjointly."""
-    _guard(net, max_vertices, "antichain-to-leaf")
+    _guard(net, 16, "antichain-to-leaf")
     return all(
         _route_disjoint(net, a) for a in _iter_antichains(net) if len(a) > 1
     )
 
 
-def oracle_covering_paths(net: PhyloNetwork, subset, max_vertices: int = 16) -> bool:
+def oracle_covering_paths(net: PhyloNetwork, subset) -> bool:
     """Can some family of vertex-disjoint paths, each ending at a labeled
     leaf, contain every vertex of ``subset``?
 
@@ -235,7 +233,7 @@ def oracle_covering_paths(net: PhyloNetwork, subset, max_vertices: int = 16) -> 
     considers such systems: repeatedly route the topologically earliest
     uncovered element downward to a leaf.
     """
-    _guard(net, max_vertices, "covering-paths")
+    _guard(net, 16, "covering-paths")
     want = set(subset)
     pos = {v: i for i, v in enumerate(net.topological_order())}
 
@@ -260,14 +258,14 @@ def oracle_covering_paths(net: PhyloNetwork, subset, max_vertices: int = 16) -> 
     return cover(frozenset(want), set())
 
 
-def oracle_temporal(net: PhyloNetwork, max_vertices: int = 16) -> bool:
+def oracle_temporal(net: PhyloNetwork) -> bool:
     """Does any integer time map exist?  Backtracking over assignments.
 
     Values 0..n-1 suffice: any valid map can be collapsed to the ranks of
     its sorted distinct values, and every vertex sits below the root, whose
     value may be fixed at 0.
     """
-    _guard(net, max_vertices, "temporal")
+    _guard(net, 16, "temporal")
     n = net.num_vertices
     order = net.topological_order()
     retic = set(net.reticulations)
@@ -302,10 +300,10 @@ def oracle_temporal(net: PhyloNetwork, max_vertices: int = 16) -> bool:
     return assign(0)
 
 
-def oracle_max_matching_size(adj: list, n_right: int, max_left: int = 12) -> int:
+def oracle_max_matching_size(adj: list, n_right: int) -> int:
     """Exhaustive maximum matching size for a bipartite adjacency list."""
-    if len(adj) > max_left:
-        raise ValueError(f"matching oracle limited to {max_left} left vertices")
+    if len(adj) > 12:
+        raise ValueError("matching oracle limited to 12 left vertices")
 
     def best(i: int, used: int) -> int:
         if i == len(adj):

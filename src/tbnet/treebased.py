@@ -232,7 +232,7 @@ def is_tree_based(net: PhyloNetwork) -> tuple[bool, TreeBasedCertificate]:
         return False, _failure_witness(net, fences[0])
     tree = rooted_spanning_tree(net)
     if tree.unlabeled_leaves(net):
-        raise ValueError("no W-fence, yet the base tree has an unlabeled leaf")
+        raise RuntimeError("no W-fence, yet the base tree has an unlabeled leaf")
     return True, BaseTreeCertificate(tree)
 
 

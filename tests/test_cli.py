@@ -98,6 +98,22 @@ def test_internal_error_is_exit_3_not_a_no():
     assert b"internal error:" in proc.stderr
 
 
+def test_a_fault_in_the_exhaustive_route_is_exit_3_not_an_input_error():
+    # the route's own antichains are antichains by construction: one that is
+    # not is an internal fault, not a refused input
+    script = (
+        "import sys\n"
+        "import tbnet.antichains as antichains\n"
+        "import tbnet.cli as cli\n"
+        "antichains.maximal_antichains = lambda net: iter([(net.root, net.leaves[0])])\n"
+        "sys.exit(cli.main(['antichain', '--check-property', sys.argv[1]]))\n"
+    )
+    proc = run_python("-O", "-c", script, fixture_path("killer.edges"))
+    assert proc.returncode == 3, proc.stderr
+    assert b"internal error:" in proc.stderr
+    assert b"RuntimeError: the exhaustive route refused its own antichain" in proc.stderr
+
+
 @pytest.mark.parametrize("enabled", [True, False])
 @pytest.mark.parametrize("outcome", [0, 1, 2, 3])
 def test_main_leaves_the_collector_as_it_found_it(capsys, monkeypatch, enabled, outcome):

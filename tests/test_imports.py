@@ -103,6 +103,26 @@ def test_the_digest_is_the_same_from_hashlib():
     assert digests == {hashlib.sha256((FIXTURES / "diamond.nwk").read_bytes()).hexdigest()}
 
 
+def test_the_digest_comes_from_sha2_where_it_replaces_sha256(bare_modules):
+    # Python 3.12 merged the builtin _sha256 into _sha2; in that layout a
+    # query still hashes without loading hashlib or OpenSSL's _hashlib
+    layout = ("import sys\n"
+              "try:\n"
+              "    import _sha2\n"
+              "except ImportError:\n"
+              "    import _sha256 as _sha2\n"
+              "sys.modules['_sha2'], sys.modules['_sha256'] = _sha2, None\n"
+              "import tbnet.cli\n"
+              "code = tbnet.cli.main(sys.argv[1:])\n"
+              "sys.stderr.write(' '.join(sorted(sys.modules)))\n"
+              "sys.exit(code)\n")
+    proc = run_python("-c", layout, "check", str(FIXTURES / "diamond.nwk"), "--json")
+    assert proc.returncode == 0, proc.stderr
+    digest = hashlib.sha256((FIXTURES / "diamond.nwk").read_bytes()).hexdigest()
+    assert json.loads(proc.stdout)["input_sha256"] == digest
+    assert not {"hashlib", "_hashlib"} - bare_modules & set(proc.stderr.decode().split())
+
+
 def test_importing_the_package_loads_no_submodule():
     proc = run_python("-c", "import sys, tbnet\n"
                             "print(sorted(m for m in sys.modules if m.startswith('tbnet')))")

@@ -4,12 +4,14 @@ has to be pinned down independently."""
 
 import pytest
 
-from tbnet import GenSpec, PhyloNetwork, generate, parse_enewick
+from tbnet import GenSpec, PhyloNetwork, generate, has_antichain_to_leaf_property, parse_enewick
 from tbnet.oracles import (
     isomorphic,
     iter_spanning_trees,
     oracle_antichain_to_leaf_property,
+    oracle_covering_paths,
     oracle_max_antichain,
+    oracle_max_matching_size,
     oracle_min_attachments,
     oracle_min_attachments_unrestricted,
     oracle_min_path_partition,
@@ -74,16 +76,44 @@ def test_singleton_edge_cases():
     assert oracle_temporal(single)
 
 
-def test_guards_reject_oversize():
-    big = generate(GenSpec(12, 0, seed=0))  # 23 vertices
-    with pytest.raises(ValueError):
-        oracle_tree_based(big)
-    with pytest.raises(ValueError):
-        oracle_min_path_partition(big)
-    with pytest.raises(ValueError):
-        oracle_max_antichain(big)
-    with pytest.raises(ValueError):
-        oracle_temporal(big)
+def _net(vertices: int, retics: int = 2) -> PhyloNetwork:
+    """A generated temporal network of ``vertices`` vertices, ``retics`` of them
+    reticulations: on it the temporal oracle finds a map without a long search."""
+    return generate(GenSpec((vertices + 1) // 2 - retics, retics, seed=1, temporal_only=True))
+
+
+# Each guard: the oracle, the smallest input above its bound, the largest
+# input at or below it, and the bound its refusal names.  A binary network
+# has 2L + 2R - 1 vertices, an odd count, so an even bound b admits b - 1.
+GUARDS = {
+    "oracle_tree_based": (oracle_tree_based, _net(21), _net(19), "20 vertices"),
+    "oracle_min_spanning_tree_extra_leaves": (
+        oracle_min_spanning_tree_extra_leaves, _net(21), _net(19), "20 vertices"),
+    "oracle_min_path_partition": (oracle_min_path_partition, _net(17), _net(15), "16 vertices"),
+    "oracle_min_attachments": (oracle_min_attachments, _net(21), _net(19), "20 vertices"),
+    "oracle_min_attachments-reticulations": (
+        oracle_min_attachments, _net(19, 4), _net(19, 3), "3 reticulations"),
+    "oracle_min_attachments_unrestricted": (
+        lambda net: oracle_min_attachments_unrestricted(net, upper=0), _net(13), _net(11), "12 vertices"),
+    "oracle_max_antichain": (oracle_max_antichain, _net(19), _net(17), "18 vertices"),
+    "oracle_antichain_to_leaf_property": (
+        oracle_antichain_to_leaf_property, _net(17), _net(15), "16 vertices"),
+    "oracle_covering_paths": (
+        lambda net: oracle_covering_paths(net, net.leaves), _net(17), _net(15), "16 vertices"),
+    "oracle_temporal": (oracle_temporal, _net(17), _net(15), "16 vertices"),
+    "oracle_max_matching_size": (
+        lambda adj: oracle_max_matching_size(adj, 0), [()] * 13, [()] * 12, "12 left vertices"),
+    "exhaustive-property": (
+        lambda net: has_antichain_to_leaf_property(net, "exhaustive"), _net(19), _net(17), "18 vertices"),
+}
+
+
+@pytest.mark.parametrize("name", GUARDS)
+def test_guards_reject_oversize(name):
+    oracle, over, within, bound = GUARDS[name]
+    with pytest.raises(ValueError, match=f"limited to {bound}"):
+        oracle(over)
+    oracle(within)  # passes the guard and answers
 
 
 def test_isomorphic_respects_labels():
