@@ -24,10 +24,13 @@ its own layers: ``check``, ``indices``, ``paths``, ``spanning-tree`` and
 ``antichains``, ``generate`` and ``dot`` load only where they are used.
 No subcommand loads ``matching``, the reference route, ``dataclasses``,
 ``json`` or ``hashlib``; the input digest comes from the builtin ``_sha2``
-or ``_sha256``.  :func:`main` builds the parser of the subcommand it runs
-and no other, and turns the cyclic garbage collector off while a query
-runs, since a query's structures hold no reference cycles, and restores
-the caller's setting on return.  :func:`process_main`, the one entry
+or ``_sha256``.  One option table, :data:`SUBCOMMANDS`, declares every
+subcommand's options: :func:`main` reads well-formed argv from it, and
+loads ``argparse`` only for help, version and errors, building from the
+table the parser of the subcommand it reports on and no other.  It turns
+the cyclic garbage collector off while a query runs, since a query's
+structures hold no reference cycles, and restores the caller's setting
+on return.  :func:`process_main`, the one entry
 point of ``python -m tbnet.cli`` and the ``tbnet`` script, runs ``main``
 and then freezes the heap, so the interpreter's shutdown collections do
 not scan what is about to be freed; ``main`` itself never freezes.
@@ -35,13 +38,13 @@ not scan what is about to be freed; ``main`` itself never freezes.
 
 from __future__ import annotations
 
-import argparse
 import gc
 import os
 import sys
 import time
 from itertools import chain
-from typing import NoReturn
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, NoReturn
 
 try:  # the builtin module (_sha2 from Python 3.12 on); hashlib would also load OpenSSL
     from _sha2 import sha256
@@ -54,6 +57,9 @@ except ImportError:
 from . import __version__
 from .enewick import ParseError, parse_enewick, serialize_enewick
 from .network import InvalidNetworkError, PhyloNetwork
+
+if TYPE_CHECKING:
+    import argparse
 
 EXT_FORMATS = {
     ".nwk": "enewick", ".enwk": "enewick", ".enewick": "enewick", ".newick": "enewick",
@@ -408,79 +414,149 @@ def cmd_bench(args, net: PhyloNetwork) -> Answer:
     return payload, human, 0
 
 
+def _option(name: str, kind, default=None, help: str | None = None,
+            metavar: str | None = None, need: str = "") -> SimpleNamespace:
+    """One option as both readers of argv take it.  ``name`` "input" is the
+    one positional; ``kind`` is bool for a flag, str, int, or the tuple of
+    choices; ``need`` is "required", "one of" the subcommand's exclusive
+    group, or "fixed": no option sets it, and it is always its default.  A
+    namespace: creating a NamedTuple class would cost every query about
+    0.2 ms."""
+    return SimpleNamespace(name=name, kind=kind, default=default, help=help,
+                           metavar=metavar, need=need)
+
+
+_INPUT = (_option("input", str, None, "input file, or - for stdin", need="required"),
+          _option("--format", ("enewick", "edgelist"), None,
+                  "input format (default: by file extension)"),
+          _option("--json", bool, False, "JSON report envelope"))
+_DOT = _option("--dot", str, None, "write a DOT rendering", "PATH")
+_GENERATED = (_option("--leaves", int, need="required"),
+              _option("--retics", int, need="required"), _option("--seed", int, 0))
+
 # Every subcommand, in the order ``tbnet --help`` lists them: its answer
-# function and its help line.  Its options are added in _build_parser.
+# function, its help line, and its options in the order its help lists
+# them.  _generate reads --temporal and --repeat: gen and bench each fix
+# the one they do not take.
 SUBCOMMANDS = {
-    "check": (cmd_check, "decide tree-based and emit a certificate"),
-    "indices": (cmd_indices, "deviation indices l, p, t and friends"),
-    "paths": (cmd_paths, "minimum vertex-disjoint path partition"),
+    "check": (cmd_check, "decide tree-based and emit a certificate", (*_INPUT, _DOT)),
+    "indices": (cmd_indices, "deviation indices l, p, t and friends", _INPUT),
+    "paths": (cmd_paths, "minimum vertex-disjoint path partition", (*_INPUT, _DOT)),
     "spanning-tree": (cmd_spanning_tree,
-                      "rooted spanning tree minimising leaves outside the label set"),
-    "complete": (cmd_complete, "attach leaves to make the network tree-based"),
-    "antichain": (cmd_antichain, "antichain queries"),
-    "temporal": (cmd_temporal, "decide temporality, emit ranks"),
-    "gen": (cmd_gen, "generate a seeded random network"),
-    "bench": (cmd_bench, "time the index pipeline on a generated network"),
+                      "rooted spanning tree minimising leaves outside the label set",
+                      (*_INPUT, _DOT)),
+    "complete": (cmd_complete, "attach leaves to make the network tree-based", (
+        *_INPUT, _DOT, _option("--out", str, None, "write the result network", "PATH"))),
+    "antichain": (cmd_antichain, "antichain queries", (
+        *_INPUT,
+        _option("--max", bool, False, "maximum antichain", need="one of"),
+        _option("--set", str, None, "route the given antichain to leaves disjointly",
+                "V1,V2,...", "one of"),
+        _option("--check-property", bool, False, "decide the antichain-to-leaf property",
+                need="one of"))),
+    "temporal": (cmd_temporal, "decide temporality, emit ranks", _INPUT),
+    "gen": (cmd_gen, "generate a seeded random network", (
+        *_GENERATED,
+        _option("--temporal", bool, False, "rejection-sample until temporal"),
+        _option("--out", str, None, "write here instead of stdout", "PATH"),
+        _option("--json", bool, False), _option("repeat", int, 1, need="fixed"))),
+    "bench": (cmd_bench, "time the index pipeline on a generated network", (
+        *_GENERATED, _option("--repeat", int, 3), _option("--json", bool, False),
+        _option("temporal", bool, False, need="fixed"))),
 }
 
 
 def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The parser of ``tbnet``, with the parser of ``command`` only when it
     names a subcommand, else with all of them."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="tbnet",
         description="Tree-based analysis of rooted binary phylogenetic networks.")
     parser.add_argument("--version", action="version", version=f"tbnet {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (func, help_) in SUBCOMMANDS.items():
+    for name, (func, help_, options) in SUBCOMMANDS.items():
         if command in SUBCOMMANDS and name != command:
             continue
         sp = sub.add_parser(name, help=help_)
         sp.set_defaults(func=func)
-        if name in ("gen", "bench"):
-            sp.add_argument("--leaves", type=int, required=True)
-            sp.add_argument("--retics", type=int, required=True)
-            sp.add_argument("--seed", type=int, default=0)
-            # _generate reads --temporal and --repeat: each command fixes
-            # the one it does not take
-            if name == "gen":
-                sp.add_argument("--temporal", action="store_true",
-                                help="rejection-sample until temporal")
-                sp.add_argument("--out", metavar="PATH", help="write here instead of stdout")
-                sp.set_defaults(repeat=1)
+        group = None
+        for opt in options:
+            if opt.need == "fixed":
+                sp.set_defaults(**{opt.name: opt.default})
+                continue
+            kw = {"default": opt.default, "help": opt.help}
+            if opt.kind is bool:
+                kw["action"] = "store_true"
             else:
-                sp.add_argument("--repeat", type=int, default=3)
-                sp.set_defaults(temporal=False)
-            sp.add_argument("--json", action="store_true")
-            continue
-        sp.add_argument("input", help="input file, or - for stdin")
-        sp.add_argument("--format", choices=("enewick", "edgelist"),
-                        help="input format (default: by file extension)")
-        sp.add_argument("--json", action="store_true", help="JSON report envelope")
-        if name in ("check", "paths", "spanning-tree", "complete"):
-            sp.add_argument("--dot", metavar="PATH", help="write a DOT rendering")
-        if name == "complete":
-            sp.add_argument("--out", metavar="PATH", help="write the result network")
-        if name == "antichain":
-            group = sp.add_mutually_exclusive_group(required=True)
-            group.add_argument("--max", action="store_true", help="maximum antichain")
-            group.add_argument("--set", metavar="V1,V2,...",
-                               help="route the given antichain to leaves disjointly")
-            group.add_argument("--check-property", action="store_true",
-                               help="decide the antichain-to-leaf property")
+                kw.update(metavar=opt.metavar, type=int if opt.kind is int else None,
+                          choices=None if isinstance(opt.kind, type) else opt.kind)
+            if opt.need == "required" and opt.name != "input":  # argparse requires a positional
+                kw["required"] = True
+            if opt.need == "one of" and group is None:
+                group = sp.add_mutually_exclusive_group(required=True)
+            (group if opt.need == "one of" else sp).add_argument(opt.name, **kw)
     return parser
+
+
+def _read_argv(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace argparse gives for ``argv``, read from the option table
+    when ``argv`` is well formed: a subcommand, then its exact option names,
+    each at most once, a value that starts with no ``-`` after each value
+    option, an int in ASCII digits, a choice among its choices, at most the
+    one positional (``-`` is one), and every required item.  Anything else
+    gives None, and argparse parses it and writes every help, usage and
+    error text."""
+    if not argv or argv[0] not in SUBCOMMANDS:
+        return None
+    func, _, options = SUBCOMMANDS[argv[0]]
+    named = {opt.name: opt for opt in options if opt.need != "fixed"}
+    given = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        opt = named.get("input" if token == "-" or token[:1] != "-" else token)
+        if opt is None or opt.name in given:
+            return None
+        if opt.kind is bool:
+            value = True
+        elif opt.name == "input":
+            value = token
+        else:
+            value = next(tokens, "-")  # a missing value fails as a "-" would
+            if value[:1] == "-":
+                return None
+            if opt.kind is int:
+                # int() converts 640 digits under any digit limit it is given
+                if not (value.isascii() and value.isdigit() and len(value) <= 640):
+                    return None
+                value = int(value)
+            elif opt.kind is not str and value not in opt.kind:
+                return None
+        given[opt.name] = value
+    if any(opt.need == "required" and opt.name not in given for opt in options):
+        return None
+    group = [opt.name for opt in options if opt.need == "one of"]
+    if group and sum(name in given for name in group) != 1:
+        return None
+    return SimpleNamespace(command=argv[0], func=func, **{
+        opt.name.lstrip("-").replace("-", "_"): given.get(opt.name, opt.default)
+        for opt in options})
 
 
 def main(argv=None) -> int:
     """Run one query: read and build the network (``gen`` and ``bench``
     generate it), answer, and print the envelope or the human lines."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    # Only the named subcommand's parser is built.  Unrecognized arguments
-    # are reported by the top-level parser, whose usage lists every
-    # subcommand, so a full parser parses again to report them.
-    args, extra = _build_parser(argv[0] if argv else None).parse_known_args(argv)
-    if extra:
-        args = _build_parser().parse_args(argv)
+    # Well-formed argv is read from the option table, without argparse.
+    # Otherwise only the named subcommand's parser is built.  Unrecognized
+    # arguments are reported by the top-level parser, whose usage lists
+    # every subcommand, so a full parser parses again to report them.
+    args = _read_argv(argv)
+    if args is None:
+        args, extra = _build_parser(argv[0] if argv else None).parse_known_args(argv)
+        if extra:
+            args = _build_parser().parse_args(argv)
     # A query builds up to one tuple or list of ints per vertex and arc but
     # no reference cycle, so reference counting frees all of it; the cyclic
     # collector would only rescan it.  The caller's setting is restored.
@@ -492,7 +568,7 @@ def main(argv=None) -> int:
                 raise CliError(f"--{option} - would mix into the JSON report on stdout; "
                                f"give --{option} a file path")
         started = time.perf_counter()
-        net, digest = (_load if "input" in args else _generate)(args)
+        net, digest = (_load if hasattr(args, "input") else _generate)(args)
         payload, human, code = args.func(args, net)
         if args.command == "gen":  # what gen answers about is the network it writes
             digest = sha256(payload["network"].encode()).hexdigest()

@@ -42,6 +42,8 @@ _LABELS_RE = re.compile(rf"{LABEL_RE.pattern}(?:\n{LABEL_RE.pattern})*")
 # Degree signatures (in, out) of the root, a leaf, a tree vertex and a
 # reticulation.
 _SIGNATURES = frozenset(((0, 2), (1, 0), (1, 2), (2, 1)))
+# An error text names this many violations and counts the rest.
+_NAMED_VIOLATIONS = 20
 
 
 class Violation(NamedTuple):
@@ -57,9 +59,13 @@ class ValidationReport(NamedTuple):
     violations: tuple[Violation, ...] = ()
 
     def summary(self) -> str:
+        """The first violations and the count of the rest, so an error
+        line stays short on any input; the report keeps them all."""
         if self.ok:
             return "valid"
-        return "; ".join(v.message for v in self.violations)
+        named = "; ".join(v.message for v in self.violations[:_NAMED_VIOLATIONS])
+        rest = len(self.violations) - _NAMED_VIOLATIONS
+        return f"{named}; and {rest} more" if rest > 0 else named
 
 
 class InvalidNetworkError(ValueError):

@@ -259,45 +259,27 @@ def oracle_covering_paths(net: PhyloNetwork, subset) -> bool:
 
 
 def oracle_temporal(net: PhyloNetwork) -> bool:
-    """Does any integer time map exist?  Backtracking over assignments.
-
-    Values 0..n-1 suffice: any valid map can be collapsed to the ranks of
-    its sorted distinct values, and every vertex sits below the root, whose
-    value may be fixed at 0.
+    """Does any integer time map exist?  Bellman-Ford on its difference
+    constraints: a tree arc (u, v) asks t[v] >= t[u] + 1, a reticulation
+    arc t[v] >= t[u] and t[u] >= t[v].  Relaxed from t = 0 everywhere,
+    they settle within n passes iff some map meets them all; otherwise a
+    cycle among them raises t without end.
     """
     _guard(net, 16, "temporal")
-    n = net.num_vertices
-    order = net.topological_order()
     retic = set(net.reticulations)
-    value = {}
-
-    def assign(i: int) -> bool:
-        if i == n:
+    rules = []
+    for u, v in net.edges:
+        rules += [(u, v, 0), (v, u, 0)] if v in retic else [(u, v, 1)]
+    t = [0] * net.num_vertices
+    for _ in range(net.num_vertices + 1):
+        changed = False
+        for u, v, w in rules:
+            if t[v] < t[u] + w:
+                t[v] = t[u] + w
+                changed = True
+        if not changed:
             return True
-        v = order[i]
-        parents = net.parents[v]
-        if v in retic:
-            a, b = (value[parents[0]], value[parents[1]])
-            if a != b:
-                return False
-            value[v] = a
-            if assign(i + 1):
-                return True
-            del value[v]
-            return False
-        low = 0 if not parents else 1 + max(value[p] for p in parents)
-        if i == 0:
-            high = 0  # the root is the global minimum; pin it
-        else:
-            high = n - 1
-        for t in range(low, high + 1):
-            value[v] = t
-            if assign(i + 1):
-                return True
-        value.pop(v, None)
-        return False
-
-    return assign(0)
+    return False
 
 
 def oracle_max_matching_size(adj: list, n_right: int) -> int:

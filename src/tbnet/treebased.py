@@ -244,7 +244,7 @@ def _failure_witness(net: PhyloNetwork, fence: tuple[int, ...]) -> FailureWitnes
             and net.in_degree[u1[0]] == net.in_degree[u1[-1]] == 2
             and {p for r in u2 for p in net.parents[r]} == set(u1)
             and {c for t in u1 for c in net.children[t]} == set(u2)):
-        raise ValueError(f"{fence} is not a W-fence of the network")
+        raise RuntimeError(f"{fence} is not a W-fence of the network")
     return FailureWitness(rr_path=fence[1:-1], u1=u1, u2=u2)
 
 

@@ -10,11 +10,12 @@ from importlib import resources
 
 import jsonschema
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
-from tbnet import PhyloNetwork, is_tree_based, parse_enewick, parse_edgelist, separates
+from tbnet import (InvalidNetworkError, PhyloNetwork, is_tree_based, parse_enewick, parse_edgelist,
+                   separates)
 from tbnet import treebased
-from tbnet.cli import _json_text, main, process_main
+from tbnet.cli import SUBCOMMANDS, _build_parser, _json_text, _read_argv, main, process_main
 from tbnet.treebased import zigzag_trails
 
 from conftest import FIXTURES, run_python
@@ -249,6 +250,54 @@ def test_int_tuple_lists_match_json_dumps(value, depth):
     assert _json_text(value) == json.dumps(value, indent=2, sort_keys=True)
 
 
+# What the option-table reader meets: every subcommand and a misspelt one,
+# every option name and an abbreviation, the forms only argparse reads,
+# and values that are files, ints or neither.  Each argv holds some of its
+# subcommand's options, each once and with a value where it takes one, and
+# up to one token of any kind inserted anywhere, so many are well formed.
+OPTION_NAMES = sorted({opt.name for _, _, options in SUBCOMMANDS.values() for opt in options
+                       if opt.name[0] == "-"})
+VALUES = ["x.nwk", "-", "-1", "+3", "1_0", "\u0663", "", "enewick", "xml", "7", "a,b"]
+TOKENS = [*SUBCOMMANDS, "chek", *OPTION_NAMES, "--js", "--format=enewick", "-h", "--version", "--",
+          *VALUES]
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from([*SUBCOMMANDS, "chek"]))
+    argv = [command]
+    if command in SUBCOMMANDS:
+        options = [opt for opt in SUBCOMMANDS[command][2] if opt.need != "fixed"]
+        for opt in draw(st.lists(st.sampled_from(options), unique_by=lambda opt: opt.name)):
+            value = draw(st.sampled_from(VALUES))
+            argv += ([opt.name] if opt.kind is bool else [value] if opt.name == "input"
+                     else [opt.name, value])
+    for token in draw(st.lists(st.sampled_from(TOKENS), max_size=1)):
+        argv.insert(draw(st.integers(1, len(argv))), token)
+    return argv
+
+
+@settings(max_examples=1000, deadline=None)
+@given(argvs())
+@example(["antichain", "--set", "a,b", "x.nwk", "--json"])
+@example(["antichain", "--check-property", "-", "--format", "enewick"])
+@example(["gen", "--leaves", "7", "--retics", "7", "--seed", "7", "--out", "x.nwk", "--temporal"])
+@example(["bench", "--retics", "7", "--repeat", "7", "--leaves", "7"])
+@example(["complete", "x.nwk", "--dot", "a,b", "--out", "x.nwk"])
+def test_argv_read_from_the_table_parses_the_same_with_argparse(argv):
+    args = _read_argv(argv)
+    event("read from the table" if args else "left to argparse")
+    if args is None:  # main parses it with argparse
+        return
+    try:
+        parsed, extra = _build_parser(argv[0]).parse_known_args(argv)
+        full = _build_parser().parse_args(argv)
+    except SystemExit:
+        pytest.fail(f"argparse refuses {argv}")
+    assert not extra
+    assert vars(args) == vars(parsed) == vars(full)
+
+
 def test_check_human_output(capsys):
     code, out, _ = run(capsys, "check", fixture_path("diamond.edges"))
     assert code == 0
@@ -464,6 +513,21 @@ def test_gen_oversize_is_an_input_error(capsys):
     code, out, err = run(capsys, "gen", "--leaves", "2", "--retics", "99999999999")
     assert code == 2 and out == ""
     assert err.startswith("error:") and "the limit is" in err
+
+
+def test_an_invalid_network_error_is_one_short_line(capsys, tmp_path):
+    # a ternary tree of 30001 vertices breaks the degree rule at each of its
+    # 10000 inner vertices; the error line names 20 and counts the rest
+    text = "".join(f"v{(i - 1) // 3} v{i}\n" for i in range(1, 30001))
+    with pytest.raises(InvalidNetworkError) as caught:
+        parse_edgelist(text)
+    assert len(caught.value.report.violations) == 10_000
+    path = tmp_path / "ternary.edges"
+    path.write_text(text)
+    code, out, err = run(capsys, "check", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: vertex 0 has degree signature in=0, out=3; ")
+    assert err.endswith("; and 9980 more\n") and err.count("\n") == 1 and len(err) < 2048
 
 
 def test_gen_out_file(capsys, tmp_path):

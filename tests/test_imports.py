@@ -1,5 +1,6 @@
-"""What a query loads: the package resolves its names on first use, and each
-subcommand imports only the modules it runs and builds only its own parser."""
+"""What a query loads: the package resolves its names on first use, each
+subcommand imports only the modules it runs, and argparse builds only the
+parser of the subcommand it reports on, for help, version and errors."""
 
 import argparse
 import ast
@@ -18,6 +19,7 @@ from tbnet.network import PhyloNetwork
 from conftest import FIXTURES, run_python
 
 TRACING = FIXTURES.parents[1] / "perfbench" / "tracing.py"
+PLANS = TRACING.with_name("plans.py")
 
 LOADED = (
     "import sys\n"
@@ -66,10 +68,37 @@ def test_a_query_loads_only_its_own_modules(argv, bare_modules):
     assert not loaded & absent
 
 
+def _benchmark_argvs() -> list[tuple[str, ...]]:
+    """Each argv shape the benchmark runs, read from its plans, with a
+    fixture for each input, two of its leaves for a set and 7 for a number;
+    the benchmark adds --json."""
+    shapes = set()
+    for node in ast.walk(ast.parse(PLANS.read_text())):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Query":
+            shapes.add(tuple("7" if isinstance(item, ast.Call)
+                             else item.value if isinstance(item, ast.Constant)
+                             else "x,y" if item.id.endswith("set")
+                             else str(FIXTURES / "killer.nwk")
+                             for item in node.args[1].elts) + ("--json",))
+    return sorted(shapes)
+
+
+@pytest.mark.parametrize("argv", _benchmark_argvs(),
+                         ids=lambda argv: " ".join(Path(a).name for a in argv))
+def test_a_benchmark_query_loads_no_argparse(argv, bare_modules):
+    # well-formed argv is read from the option table; argparse, and the
+    # gettext and locale it loads, are for help, version and errors
+    proc = run_python("-c", LOADED, *argv)
+    assert proc.returncode in (0, 1), proc.stderr
+    loaded = set(proc.stderr.decode().split())
+    assert not {"argparse", "gettext", "locale"} - bare_modules & loaded
+
+
 @pytest.mark.parametrize("argv, code, built", [
-    ("check diamond.nwk --json", 0, 1),
-    ("antichain --max killer.edges", 0, 1),
-    ("gen --leaves 5 --retics 2", 0, 1),
+    # well-formed argv is read from the option table, with no parser
+    ("check diamond.nwk --json", 0, 0),
+    ("antichain --max killer.edges", 0, 0),
+    ("gen --leaves 5 --retics 2", 0, 0),
     # help and the top-level usage errors list every subcommand
     ("--help", 0, 9),
     ("", 2, 9),

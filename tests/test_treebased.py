@@ -122,7 +122,7 @@ def test_failure_witness_structure(deviation_one, killer):
 def test_failure_witness_rejects_a_non_fence(deviation_one):
     # rho=0 a=1 r1=2 c=3 w=4 r2=5 x=6; the W-fence is 2, 4, 3, 5, 4
     assert _failure_witness(deviation_one, (2, 4, 3, 5, 4)).u2 == (4, 5)
-    with pytest.raises(ValueError):
+    with pytest.raises(RuntimeError):
         _failure_witness(deviation_one, (0, 2, 1))
 
 
