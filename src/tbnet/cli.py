@@ -25,9 +25,9 @@ its own layers: ``check``, ``indices``, ``paths``, ``spanning-tree`` and
 No subcommand loads ``matching``, the reference route, ``dataclasses``,
 ``json`` or ``hashlib``; the input digest comes from the builtin ``_sha2``
 or ``_sha256``.  One option table, :data:`SUBCOMMANDS`, declares every
-subcommand's options: :func:`main` reads well-formed argv from it, and
-loads ``argparse`` only for help, version and errors, building from the
-table the parser of the subcommand it reports on and no other.  It turns
+subcommand's options: :func:`main` reads well-formed argv from it; only
+for help, version and errors does it load ``argparse``, build the full
+parser from the table once and parse with it once.  It turns
 the cyclic garbage collector off while a query runs, since a query's
 structures hold no reference cycles, and restores the caller's setting
 on return.  :func:`process_main`, the one entry
@@ -368,11 +368,11 @@ def _generate(args) -> tuple[PhyloNetwork, None]:
     ``args.generate_ms`` records the time generation alone took."""
     from .generate import GenerationError, GenSpec, generate
 
-    if args.repeat < 1:
+    if getattr(args, "repeat", 1) < 1:  # gen takes no --repeat, bench no --temporal
         raise CliError("--repeat must be at least 1")
     started = time.perf_counter()
     try:
-        net = generate(GenSpec(args.leaves, args.retics, args.seed, args.temporal))
+        net = generate(GenSpec(args.leaves, args.retics, args.seed, getattr(args, "temporal", False)))
     except GenerationError as exc:
         raise CliError(str(exc)) from exc
     args.generate_ms = (time.perf_counter() - started) * 1000.0
@@ -418,10 +418,9 @@ def _option(name: str, kind, default=None, help: str | None = None,
             metavar: str | None = None, need: str = "") -> SimpleNamespace:
     """One option as both readers of argv take it.  ``name`` "input" is the
     one positional; ``kind`` is bool for a flag, str, int, or the tuple of
-    choices; ``need`` is "required", "one of" the subcommand's exclusive
-    group, or "fixed": no option sets it, and it is always its default.  A
-    namespace: creating a NamedTuple class would cost every query about
-    0.2 ms."""
+    choices; ``need`` is "required" or "one of" the subcommand's exclusive
+    group.  A namespace: creating a NamedTuple class would cost every query
+    about 0.2 ms."""
     return SimpleNamespace(name=name, kind=kind, default=default, help=help,
                            metavar=metavar, need=need)
 
@@ -436,8 +435,8 @@ _GENERATED = (_option("--leaves", int, need="required"),
 
 # Every subcommand, in the order ``tbnet --help`` lists them: its answer
 # function, its help line, and its options in the order its help lists
-# them.  _generate reads --temporal and --repeat: gen and bench each fix
-# the one they do not take.
+# them.  _read_argv reads well-formed argv from it, and _build_parser
+# builds argparse's full parser from it for help, version and errors.
 SUBCOMMANDS = {
     "check": (cmd_check, "decide tree-based and emit a certificate", (*_INPUT, _DOT)),
     "indices": (cmd_indices, "deviation indices l, p, t and friends", _INPUT),
@@ -459,16 +458,14 @@ SUBCOMMANDS = {
         *_GENERATED,
         _option("--temporal", bool, False, "rejection-sample until temporal"),
         _option("--out", str, None, "write here instead of stdout", "PATH"),
-        _option("--json", bool, False), _option("repeat", int, 1, need="fixed"))),
+        _option("--json", bool, False))),
     "bench": (cmd_bench, "time the index pipeline on a generated network", (
-        *_GENERATED, _option("--repeat", int, 3), _option("--json", bool, False),
-        _option("temporal", bool, False, need="fixed"))),
+        *_GENERATED, _option("--repeat", int, 3), _option("--json", bool, False))),
 }
 
 
-def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of ``tbnet``, with the parser of ``command`` only when it
-    names a subcommand, else with all of them."""
+def _build_parser() -> argparse.ArgumentParser:
+    """The parser of ``tbnet`` and of every subcommand, built from the table."""
     import argparse
 
     parser = argparse.ArgumentParser(
@@ -477,15 +474,10 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"tbnet {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (func, help_, options) in SUBCOMMANDS.items():
-        if command in SUBCOMMANDS and name != command:
-            continue
         sp = sub.add_parser(name, help=help_)
         sp.set_defaults(func=func)
         group = None
         for opt in options:
-            if opt.need == "fixed":
-                sp.set_defaults(**{opt.name: opt.default})
-                continue
             kw = {"default": opt.default, "help": opt.help}
             if opt.kind is bool:
                 kw["action"] = "store_true"
@@ -511,7 +503,7 @@ def _read_argv(argv: list[str]) -> SimpleNamespace | None:
     if not argv or argv[0] not in SUBCOMMANDS:
         return None
     func, _, options = SUBCOMMANDS[argv[0]]
-    named = {opt.name: opt for opt in options if opt.need != "fixed"}
+    named = {opt.name: opt for opt in options}
     given = {}
     tokens = iter(argv[1:])
     for token in tokens:
@@ -548,15 +540,8 @@ def main(argv=None) -> int:
     """Run one query: read and build the network (``gen`` and ``bench``
     generate it), answer, and print the envelope or the human lines."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    # Well-formed argv is read from the option table, without argparse.
-    # Otherwise only the named subcommand's parser is built.  Unrecognized
-    # arguments are reported by the top-level parser, whose usage lists
-    # every subcommand, so a full parser parses again to report them.
-    args = _read_argv(argv)
-    if args is None:
-        args, extra = _build_parser(argv[0] if argv else None).parse_known_args(argv)
-        if extra:
-            args = _build_parser().parse_args(argv)
+    # well-formed argv is read from the option table, without argparse
+    args = _read_argv(argv) or _build_parser().parse_args(argv)
     # A query builds up to one tuple or list of ints per vertex and arc but
     # no reference cycle, so reference counting frees all of it; the cyclic
     # collector would only rescan it.  The caller's setting is restored.

@@ -127,14 +127,14 @@ def _arc_violations(n: int, edges: Iterable[Edge]) -> tuple[Violation, ...]:
 
 def _check(kids: list, pars: list, labels: Mapping[int, str]):
     """The graph rules on the child lists ``kids`` and parent lists ``pars``
-    with ``labels``: ``(root, in_degree, sinks)``, or None, and the report,
-    which names a self-loop as a cycle.  Each rule runs one whole-graph
-    test, and only a rule whose test fails lists its violations.  Sorts
-    every two-entry list in place.  With every signature allowed no list
-    is longer than 2, so a repeated child in a two-entry list is the only
-    parallel edge there can be."""
+    with ``labels``: ``(root, in_degree, out_degree, sinks)``, or None,
+    and the report, which names a self-loop as a cycle.  Each rule runs one
+    whole-graph test, and only a rule whose test fails lists its
+    violations.  Sorts every two-entry list in place.  With every signature
+    allowed no list is longer than 2, so a repeated child in a two-entry
+    list is the only parallel edge there can be."""
     n = len(kids)
-    ins, outs = list(map(len, pars)), list(map(len, kids))
+    ins, outs = list(map(len, pars)), tuple(map(len, kids))
     signatures_ok = set(zip(ins, outs)) <= _SIGNATURES or n == 1 and not kids[0]
     repeated = False
     for ws in chain(kids, pars):  # a repeated parent is a repeated child too
@@ -187,7 +187,7 @@ def _check(kids: list, pars: list, labels: Mapping[int, str]):
                 bad.append(Violation("duplicate-label", (by_label[name], v),
                                      f"label {name!r} used by vertices {by_label[name]} and {v}"))
             by_label[name] = v
-    return (None if bad else (roots[0], in_degree, sinks)), ValidationReport(not bad, tuple(bad))
+    return (None if bad else (roots[0], in_degree, outs, sinks)), ValidationReport(not bad, tuple(bad))
 
 
 class PhyloNetwork:
@@ -246,12 +246,11 @@ class PhyloNetwork:
         if accepted is None:  # from the arcs, validate names a self-loop in the lists as one
             arcs = tuple((u, v) for u, vs in enumerate(kids) for v in vs)
             raise InvalidNetworkError(validate(Digraph(len(kids), arcs, labels)))
-        self.root, self.in_degree, self.leaves = accepted
+        self.root, self.in_degree, self.out_degree, self.leaves = accepted
         n = self.num_vertices = len(kids)
         self.leaf_labels = MappingProxyType(labels)
         self.children = tuple(map(tuple, kids))
         self.parents = tuple(map(tuple, pars))
-        self.out_degree = tuple(map(len, kids))
         self.reticulations = tuple(compress(range(n), map((2).__eq__, self.in_degree)))
         self._by_label = self._trails = self._temporal = None
 

@@ -103,6 +103,15 @@ USAGE_PINS = {
     "antichain --max --set 1 FILE": "d7cc1ac68dde6e2df44f67e24fd2a20a3e685b0044c83fd2a349ed28f38e481e",
     "gen --leaves 3": "7709268a7ddd4a3408129aa969f4415a0c11a9bcdb2be8d87bdd65da03cc34b6",
     "check FILE --format xml": "062b80654d4e11a2398ec33cb98caa8979440d954962265a789f4ee47a3448c9",
+    # argv that argparse accepts but the option table does not read itself
+    "check FILE --form edgelist": "04a2d16d72e3b95ea30e498f1e3cc3d29585915de3c869b9f25cc2627bf0572b",
+    "check --format=edgelist FILE": "04a2d16d72e3b95ea30e498f1e3cc3d29585915de3c869b9f25cc2627bf0572b",
+    "paths -- FILE": "5ed0bda40d869df46df0c49f977ef89ea57c0d6c4fb8dd70dd53096838fad841",
+    "gen --leaves 3 --retics 1 --seed -5": "7dea34f560eaea8d44c6e2540e5a5399af38b23eb599436641e6fee2aa14c4dd",
+    "gen --leaves 3 --retics 1 --temporal --temporal":
+        "6303cc59b90ef12654d225b948d65f14b9597968f61120abea310bd23808c64a",
+    "bench --leaves 3 --retics 1 --repeat=0":
+        "50c737ff58a3862db74552ad1bad5d9ba188ec1d0e01b1b5b105fe1b243fb714",
 }
 
 

@@ -1,5 +1,6 @@
-"""Time-scaling guards: each subcommand's default route, on 10x the vertices,
-takes well under 30x the time, so a route that turns quadratic fails here.
+"""Scaling guards: each subcommand's default route, on 10x the vertices,
+takes well under 30x the time and 15x the peak memory, so a route that
+turns quadratic in either fails here.
 
 The routes timed elsewhere are left out: ``indices`` and ``bench``
 (``deviation_indices``, criterion 8), ``antichain --set`` (routing every
@@ -11,6 +12,7 @@ generated networks of these sizes are not temporal.
 
 import gc
 import time
+import tracemalloc
 
 import pytest
 
@@ -62,3 +64,34 @@ def test_the_default_route_scales_linearly(route, networks, capsys):
     with capsys.disabled():
         print(f"\n[{route}] 5001 vertices: {small * 1e3:.1f} ms, "
               f"50001: {big * 1e3:.1f} ms, ratio {ratio:.1f}x")
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_the_default_route_memory_scales_linearly(route, networks, capsys):
+    def peak_bytes(spec: GenSpec) -> int:
+        # The allocation peak above what is live when the route starts, on
+        # a fresh copy with the collector off, as in a query.  A full
+        # collection first empties the free lists, so every object the
+        # route makes is traced, and the peak is the same on every run.
+        net = networks[spec]
+        fresh = PhyloNetwork.from_lists(list(net.children), list(net.parents),
+                                        dict(net.leaf_labels))
+        collecting = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            baseline = tracemalloc.get_traced_memory()[0]
+            ROUTES[route](fresh)
+            return tracemalloc.get_traced_memory()[1] - baseline
+        finally:
+            tracemalloc.stop()
+            if collecting:
+                gc.enable()
+
+    small, big = peak_bytes(SMALL), peak_bytes(BIG)
+    ratio = big / small
+    assert ratio < 15.0
+    with capsys.disabled():
+        print(f"\n[{route}] peak above baseline, 5001 vertices: {small / 1e6:.2f} MB, "
+              f"50001: {big / 1e6:.2f} MB, ratio {ratio:.2f}x")
