@@ -105,8 +105,7 @@ def test_a_benchmark_query_loads_no_argparse(argv, bare_modules):
     ("chek diamond.nwk", 2, 9),
     ("check diamond.nwk extra", 2, 9),
 ], ids=lambda x: str(x) or "(none)")
-def test_well_formed_argv_builds_no_parser_and_any_other_one_full_parser(
-        capsys, monkeypatch, argv, code, built):
+def test_a_query_builds_only_its_own_parser(capsys, monkeypatch, argv, code, built):
     calls = []
     add_parser = argparse._SubParsersAction.add_parser
     monkeypatch.setattr(argparse._SubParsersAction, "add_parser",
