@@ -18,11 +18,8 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "antichains": (
-        "DisjointPathWitness", "TemporalMap", "antichain_to_leaf",
-        "has_antichain_to_leaf_property",
-        "is_antichain", "is_temporal", "max_antichain", "maximal_antichains",
-        "route_to_leaves", "separates", "temporal_violating_antichain", "temporal_violation",
-        "verify_temporal_map",
+        "DisjointPathWitness", "antichain_to_leaf", "max_antichain", "maximal_antichains",
+        "route_to_leaves",
     ),
     "dot": ("export_dot",),
     "edgelist": ("parse_edgelist", "serialize_edgelist", "vertex_names"),
@@ -35,6 +32,10 @@ _EXPORTS = {
     "network": (
         "Digraph", "InvalidNetworkError", "PhyloNetwork", "ValidationReport",
         "Violation", "attach_leaf", "attach_leaves", "validate",
+    ),
+    "temporal": (
+        "TemporalMap", "has_antichain_to_leaf_property", "is_antichain", "is_temporal",
+        "separates", "temporal_violating_antichain", "temporal_violation", "verify_temporal_map",
     ),
     "treebased": (
         "BaseTreeCertificate", "CompletionResult", "DeviationReport",

@@ -21,7 +21,11 @@ escapes.
 Each answer function imports the modules it runs, so a query loads only
 its own layers: ``check``, ``indices``, ``paths``, ``spanning-tree`` and
 ``complete`` load ``network``, the reader and ``treebased``;
-``antichains``, ``generate`` and ``dot`` load only where they are used.
+``temporal`` loads ``temporal``, and ``treebased`` only for a temporal
+network; ``antichain --max`` and ``--set`` load ``antichains``, and
+``--check-property`` loads ``temporal``, adding ``antichains`` only on
+a network that is not temporal; ``generate`` and ``dot`` load only where
+they are used.
 No subcommand loads ``matching``, the reference route, ``dataclasses``,
 ``json`` or ``hashlib``; the input digest comes from the builtin ``_sha2``
 or ``_sha256``.  One option table, :data:`SUBCOMMANDS`, declares every
@@ -290,6 +294,7 @@ def _resolve_vertices(net: PhyloNetwork, spec: str) -> tuple[int, ...]:
     ASCII decimal digits only; a repeated vertex is kept once, where it
     first appears."""
     out = []
+    most = len(str(net.num_vertices - 1))  # the digits of the largest id
     for token in spec.split(","):
         token = token.strip()
         if not token:
@@ -300,8 +305,12 @@ def _resolve_vertices(net: PhyloNetwork, spec: str) -> tuple[int, ...]:
             # int() would also read "1_0", "+3" and non-ASCII digits
             if not (token.isascii() and token.isdigit()):
                 raise CliError(f"unknown vertex {token!r}") from None
-            vid = int(token)
-            if not 0 <= vid < net.num_vertices:
+            digits = token.lstrip("0") or "0"
+            if len(digits) > most:  # int() refuses over 4300 digits, leading zeros too
+                shown = digits if len(digits) <= 20 else f"of {len(digits)} digits"
+                raise CliError(f"vertex id {shown} out of range")
+            vid = int(digits)
+            if vid >= net.num_vertices:
                 raise CliError(f"vertex id {vid} out of range")
         out.append(vid)
     if not out:
@@ -310,15 +319,16 @@ def _resolve_vertices(net: PhyloNetwork, spec: str) -> tuple[int, ...]:
 
 
 def cmd_antichain(args, net: PhyloNetwork) -> Answer:
-    from .antichains import (has_antichain_to_leaf_property, is_temporal, max_antichain,
-                             route_to_leaves)
-
     if args.max:
+        from .antichains import max_antichain
+
         antichain, chains = max_antichain(net)
         payload = {"mode": "max", "antichain": antichain, "size": len(antichain),
                    "chain_cover": chains}
         return payload, [f"maximum antichain (size {len(antichain)}): {list(antichain)}"], 0
     if args.set is not None:
+        from .antichains import route_to_leaves
+
         members = _resolve_vertices(net, args.set)
         try:
             paths, separator = route_to_leaves(net, members)
@@ -334,6 +344,8 @@ def cmd_antichain(args, net: PhyloNetwork) -> Answer:
             human.append(f"separator, met by every path from it to a leaf: {list(separator)}")
         return payload, human, 0 if routed else 1
     # --check-property
+    from .temporal import has_antichain_to_leaf_property, is_temporal
+
     strategy = "temporal-shortcut" if is_temporal(net)[0] else "exhaustive"
     try:
         holds = has_antichain_to_leaf_property(net, strategy)
@@ -345,8 +357,7 @@ def cmd_antichain(args, net: PhyloNetwork) -> Answer:
 
 
 def cmd_temporal(args, net: PhyloNetwork) -> Answer:
-    from .antichains import is_temporal, temporal_violation
-    from .treebased import zigzag_trails
+    from .temporal import is_temporal, temporal_violation
 
     temporal, tmap = is_temporal(net)
     payload = {"temporal": temporal,
@@ -354,12 +365,15 @@ def cmd_temporal(args, net: PhyloNetwork) -> Answer:
                "violating_antichain": None,
                "separator": None}
     human = [f"temporal: {'yes' if temporal else 'no'}"]
-    if temporal and zigzag_trails(net)[2]:  # a W-fence: not tree-based
-        violating, separator = temporal_violation(net)
-        payload["violating_antichain"] = violating
-        payload["separator"] = separator
-        human += [f"not tree-based; antichain with no disjoint leaf routing: {list(violating)}",
-                  f"separator, met by every path from it to a leaf: {list(separator)}"]
+    if temporal:  # only a temporal network needs the walk
+        from .treebased import zigzag_trails
+
+        if zigzag_trails(net)[2]:  # a W-fence: not tree-based
+            violating, separator = temporal_violation(net)
+            payload["violating_antichain"] = violating
+            payload["separator"] = separator
+            human += [f"not tree-based; antichain with no disjoint leaf routing: {list(violating)}",
+                      f"separator, met by every path from it to a leaf: {list(separator)}"]
     return payload, human, 0 if temporal else 1
 
 

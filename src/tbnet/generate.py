@@ -174,7 +174,7 @@ def generate(spec: GenSpec) -> PhyloNetwork:
         return PhyloNetwork((), {0: "x1"}, 1)
 
     if spec.temporal_only:
-        from .antichains import temporal_map
+        from .temporal import temporal_map
 
     for attempt in range(TEMPORAL_ATTEMPTS if spec.temporal_only else 1):
         stream_seed = (spec.seed ^ (attempt * 0xA5A5B5B5C5C5D5D5)) & _MASK64

@@ -204,7 +204,7 @@ class PhyloNetwork:
     immutable: adjacency tuples are computed at construction and the label
     map is exposed read-only.  ``_by_label``, ``_trails`` and ``_temporal``
     keep the label index, the walk and the temporal test, which
-    :meth:`vertex_by_label`, :mod:`tbnet.treebased` and :mod:`tbnet.antichains` fill on first use.
+    :meth:`vertex_by_label`, :mod:`tbnet.treebased` and :mod:`tbnet.temporal` fill on first use.
     """
 
     __slots__ = (

@@ -31,7 +31,7 @@ from tbnet import (
     verify_temporal_map,
     vertex_disjoint_paths,
 )
-from tbnet.antichains import _temporal_test
+from tbnet.temporal import _temporal_test
 from tbnet.treebased import zigzag_trails
 from tbnet.oracles import (
     _iter_antichains,
@@ -515,22 +515,28 @@ def test_the_separator_check_refuses_mutants():
         separates(DROPPED_HEAD, (1, 2), (7,))
 
 
-def test_the_violating_antichain_scales_linearly(capsys):
-    # one W-fence of k + 1 tails: one flow search per tail made this ~75x
-    # for 10x the vertices; the linear route gives ~10x
+@pytest.mark.parametrize("route", [
+    temporal_violating_antichain,
+    lambda net: has_antichain_to_leaf_property(net, "temporal-shortcut"),
+], ids=["temporal_violating_antichain", "temporal-shortcut"])
+def test_the_violating_antichain_scales_linearly(route, request, capsys):
+    # one W-fence of k + 1 tails: one flow search per tail made the
+    # violating antichain ~75x for 10x the vertices; the linear routes give
+    # ~10x.  The property's temporal route is the one --check-property
+    # takes on a temporal network, and generated networks are not temporal.
     def best(k: int) -> float:
         runs = []
         for _ in range(3):
-            net = ladder(k)[0]
+            net = ladder(k)[0]  # fresh: a network keeps its walk and its temporal test
             start = time.perf_counter()
-            temporal_violating_antichain(net)
+            route(net)
             runs.append(time.perf_counter() - start)
         return min(runs)
 
     small, big = best(300), best(3000)
     assert big < 30.0 * small
     with capsys.disabled():
-        print(f"\n[temporal_violating_antichain] ladder(300): {small * 1e3:.1f} ms, "
+        print(f"\n[{request.node.callspec.id}] ladder(300): {small * 1e3:.1f} ms, "
               f"ladder(3000): {big * 1e3:.1f} ms, ratio {big / small:.1f}x")
 
 

@@ -383,8 +383,9 @@ def test_antichain_set_routes(capsys):
 def test_antichain_set_keeps_each_member_once(capsys):
     killer = parse_edgelist((FIXTURES / "killer.edges").read_text())
     x = killer.vertex_by_label("x")
+    # leading zeros, past int()'s 4300 digits too, name the same id
     code, env, _ = run_json(capsys, "antichain", fixture_path("killer.edges"),
-                            "--set", f"x,x,{x},y")
+                            "--set", f"x,x,{x},0{x},{'0' * 5000}{x},y")
     assert code == 0
     payload = env["payload"]
     assert payload["set"] == [x, killer.vertex_by_label("y")]
@@ -445,8 +446,11 @@ def test_antichain_set_reads_only_ascii_decimal_ids(capsys, token):
 
 
 def test_antichain_set_id_out_of_range(capsys):
-    code, out, err = run(capsys, "antichain", "--set", "99", fixture_path("diamond.nwk"))
-    assert (code, out, err) == (2, "", "error: vertex id 99 out of range\n")
+    # int() refuses a string of over 4300 digits, leading zeros included
+    for token, shown in (("99", "99"), ("9" * 5000, "of 5000 digits"),
+                         ("0" * 5000 + "7", "7")):
+        code, out, err = run(capsys, "antichain", "--set", token, fixture_path("diamond.nwk"))
+        assert (code, out, err) == (2, "", f"error: vertex id {shown} out of range\n")
 
 
 def test_exhaustive_property_check_refuses_an_oversize_network(capsys, tmp_path):

@@ -28,17 +28,26 @@ LOADED = (
     "sys.stderr.write(' '.join(sorted(sys.modules)))\n"
     "sys.exit(code)\n"
 )
-# Modules a query must not load: the tree-based queries, antichain --max,
-# and gen.  No query loads matching, the reference route, dataclasses,
+# Modules a query must not load, by argv; the tree-based queries are the
+# default.  No query loads matching, the reference route, dataclasses,
 # which also loads inspect, ast, dis and tokenize, json, whose escaping
 # encoder the envelope needs only for strings no query writes, or hashlib,
-# which loads OpenSSL for the one SHA-256 the builtin _sha256 gives.
+# which loads OpenSSL for the one SHA-256 the builtin _sha256 gives.  The
+# temporal queries never load the flows, and a network that is not
+# temporal needs no walk either.
 NEVER = {"tbnet.matching", "fractions", "dataclasses", "json", "json.encoder",
          "hashlib", "_hashlib"}
-NOT_TREE_BASED = NEVER | {"tbnet.antichains", "tbnet.generate", "tbnet.dot"}
-NOT_ANTICHAIN = NOT_TREE_BASED - {"tbnet.antichains"}
+NOT_TREE_BASED = NEVER | {"tbnet.antichains", "tbnet.temporal", "tbnet.generate", "tbnet.dot"}
 NOT_GEN = NEVER | {"tbnet.antichains", "tbnet.dot", "tbnet.treebased"}
-ABSENT = {"antichain": NOT_ANTICHAIN, "gen": NOT_GEN}
+TEMPORAL = NOT_TREE_BASED - {"tbnet.temporal"}
+ABSENT = {
+    ("antichain", "--max", "killer.edges"): TEMPORAL - {"tbnet.antichains"},
+    ("antichain", "--check-property", "temporal_nontb.edges"): TEMPORAL,
+    ("temporal", "temporal_nontb.edges"): TEMPORAL,
+    ("temporal", "killer.nwk"): TEMPORAL | {"tbnet.treebased"},
+    ("gen", "--leaves", "5", "--retics", "2"): NOT_GEN | {"tbnet.temporal"},
+    ("gen", "--leaves", "5", "--retics", "2", "--temporal"): NOT_GEN,
+}
 
 
 @pytest.fixture(scope="module")
@@ -56,10 +65,14 @@ def bare_modules():
     ("spanning-tree", "deviation_one.nwk"),
     ("complete", "deviation_one.nwk"),
     ("antichain", "--max", "killer.edges"),
+    ("antichain", "--check-property", "temporal_nontb.edges"),
+    ("temporal", "temporal_nontb.edges"),
+    ("temporal", "killer.nwk"),
     ("gen", "--leaves", "5", "--retics", "2"),
+    ("gen", "--leaves", "5", "--retics", "2", "--temporal"),
 ], ids=" ".join)
 def test_a_query_loads_only_its_own_modules(argv, bare_modules):
-    absent = ABSENT.get(argv[0], NOT_TREE_BASED) - bare_modules
+    absent = ABSENT.get(argv, NOT_TREE_BASED) - bare_modules
     argv = [str(FIXTURES / a) if a.endswith((".nwk", ".edges")) else a for a in argv]
     proc = run_python("-c", LOADED, *argv, "--json")
     assert proc.returncode in (0, 1), proc.stderr
@@ -166,6 +179,14 @@ def test_every_exported_name_imports(name):
     assert name in dir(tbnet)
 
 
+def test_every_exported_name_is_defined_where_it_is_mapped():
+    # a name mapped to a module that only re-exports it would load that
+    # module's own imports too: tbnet.is_temporal would load the flows
+    for module, names in tbnet._EXPORTS.items():
+        for name in names:
+            assert getattr(tbnet, name).__module__ == f"tbnet.{module}", name
+
+
 def test_loading_a_submodule_does_not_shadow_its_function():
     # tbnet.generate is both a submodule and the function it defines
     proc = run_python("-c", "import tbnet.generate\n"
@@ -192,7 +213,7 @@ def test_every_traced_name_resolves():
 def test_antichain_answers_read_no_arc_list():
     # the antichain and tree-based queries read the adjacency construction
     # built; a read of .edges rebuilds every arc, O(m) tuples, on each access
-    for module in ("antichains", "treebased"):
+    for module in ("antichains", "temporal", "treebased"):
         with open(importlib.import_module(f"tbnet.{module}").__file__) as source:
             tree = ast.parse(source.read())
         reads = [node.lineno for node in ast.walk(tree)
@@ -204,7 +225,7 @@ def test_each_stored_structure_is_filled_by_one_module():
     # network.py declares the stores and starts them empty; only the module
     # that computes a structure fills its store, so no other code can hand
     # a query a result it did not compute
-    owner = {"_trails": "treebased.py", "_temporal": "antichains.py"}
+    owner = {"_trails": "treebased.py", "_temporal": "temporal.py"}
     writes, declared = set(), set()
     for path in sorted(Path(tbnet.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -222,9 +243,10 @@ def test_each_stored_structure_is_filled_by_one_module():
 
 def test_no_module_imports_another_modules_private_name():
     # a module's underscored names are its own, so every answer goes through
-    # public functions; the one shared helper is network._adjacency, which
-    # the readers and the generator build their lists with
-    shared = {("network", "_adjacency")}
+    # public functions; the shared helpers are network._adjacency, which
+    # the readers and the generator build their lists with, and the id and
+    # antichain checks of temporal, which the flows start with
+    shared = {("network", "_adjacency"), ("temporal", "_vertices"), ("temporal", "_unreachable")}
     private = []
     for path in sorted(Path(tbnet.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):

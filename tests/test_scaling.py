@@ -4,10 +4,10 @@ turns quadratic in either fails here.
 
 The routes timed elsewhere are left out: ``indices`` and ``bench``
 (``deviation_indices``, criterion 8), ``antichain --set`` (routing every
-leaf) and the violating antichain of ``temporal`` (ladders), all in
-``test_acceptance.py`` and ``test_antichains.py``.  ``antichain
---check-property`` has a linear route on temporal networks only, and
-generated networks of these sizes are not temporal.
+leaf), and the violating antichain of ``temporal`` and the temporal route
+of ``antichain --check-property`` (both on ladders), all in
+``test_acceptance.py`` and ``test_antichains.py``.  Generated networks of
+these sizes are not temporal, so they would not reach the last two.
 """
 
 import gc

@@ -10,7 +10,7 @@ from tbnet import (GenSpec, antichain_to_leaf, deviation_indices, generate,
                    has_antichain_to_leaf_property, is_temporal, is_tree_based, max_antichain,
                    parse_edgelist, parse_enewick, rooted_spanning_tree, serialize_edgelist,
                    serialize_enewick, tree_based_completion, vertex_disjoint_paths)
-from tbnet.antichains import DEFAULT_EXHAUSTIVE_BOUND, _temporal_test
+from tbnet.temporal import DEFAULT_EXHAUSTIVE_BOUND, _temporal_test
 from tbnet.treebased import zigzag_trails
 
 from conftest import corpus
