@@ -22,12 +22,11 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple
 
-from .network import PhyloNetwork
+from .network import PhyloNetwork, zigzag_trails
 from .temporal import (DEFAULT_EXHAUSTIVE_BOUND, TemporalMap, _unreachable, _vertices,  # noqa: F401
                        has_antichain_to_leaf_property, is_antichain, is_temporal, separates,
                        temporal_map, temporal_violating_antichain, temporal_violation,
                        verify_temporal_map)
-from .treebased import zigzag_trails
 
 
 class DisjointPathWitness(NamedTuple):

@@ -22,10 +22,10 @@ Each answer function imports the modules it runs, so a query loads only
 its own layers: ``check``, ``indices``, ``paths``, ``spanning-tree`` and
 ``complete`` load ``network``, the reader and ``treebased``;
 ``temporal`` loads ``temporal``, and ``treebased`` only for a temporal
-network; ``antichain --max`` and ``--set`` load ``antichains``, and
-``--check-property`` loads ``temporal``, adding ``antichains`` only on
-a network that is not temporal; ``generate`` and ``dot`` load only where
-they are used.
+network that is not tree-based; ``antichain --max`` and ``--set`` load
+``antichains``, and ``--check-property`` loads ``temporal``, adding
+``antichains`` only on a network that is not temporal; ``generate`` and
+``dot`` load only where they are used.
 No subcommand loads ``matching``, the reference route, ``dataclasses``,
 ``json`` or ``hashlib``; the input digest comes from the builtin ``_sha2``
 or ``_sha256``.  One option table, :data:`SUBCOMMANDS`, declares every
@@ -60,7 +60,7 @@ except ImportError:
 
 from . import __version__
 from .enewick import ParseError, parse_enewick, serialize_enewick
-from .network import InvalidNetworkError, PhyloNetwork
+from .network import InvalidNetworkError, PhyloNetwork, zigzag_trails
 
 if TYPE_CHECKING:
     import argparse
@@ -365,15 +365,12 @@ def cmd_temporal(args, net: PhyloNetwork) -> Answer:
                "violating_antichain": None,
                "separator": None}
     human = [f"temporal: {'yes' if temporal else 'no'}"]
-    if temporal:  # only a temporal network needs the walk
-        from .treebased import zigzag_trails
-
-        if zigzag_trails(net)[2]:  # a W-fence: not tree-based
-            violating, separator = temporal_violation(net)
-            payload["violating_antichain"] = violating
-            payload["separator"] = separator
-            human += [f"not tree-based; antichain with no disjoint leaf routing: {list(violating)}",
-                      f"separator, met by every path from it to a leaf: {list(separator)}"]
+    if temporal and zigzag_trails(net)[2]:  # a W-fence: not tree-based
+        violating, separator = temporal_violation(net)
+        payload["violating_antichain"] = violating
+        payload["separator"] = separator
+        human += [f"not tree-based; antichain with no disjoint leaf routing: {list(violating)}",
+                  f"separator, met by every path from it to a leaf: {list(separator)}"]
     return payload, human, 0 if temporal else 1
 
 

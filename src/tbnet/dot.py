@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from .network import PhyloNetwork
-from .treebased import PathPartition, SpanningTree
+
+if TYPE_CHECKING:
+    from .treebased import PathPartition, SpanningTree
 
 LEAF_STYLE = 'shape=ellipse, style=filled, fillcolor="#eaf2f8"'
 RETIC_STYLE = 'shape=box, style=filled, fillcolor="#fdebd0"'

@@ -4,7 +4,7 @@ The path graph G_N (``build_gn``) has an edge (u-left, v-right) for every
 arc (u, v); its maximum matchings give minimum path partitions.  The
 saturation graph Z_N (``build_zn``) pairs reticulation parents with
 reticulations.  No query runs this module: the tree-based queries use the
-zig-zag trail walk (:func:`tbnet.treebased.zigzag_trails`) and the
+zig-zag trail walk (:func:`tbnet.network.zigzag_trails`) and the
 antichain queries a unit flow.  Hopcroft-Karp (:func:`max_matching`),
 König's cover, ``build_gn``, ``build_zn`` and ``reticulation_saturating``
 are the independent route the tests compare those engines against, and
@@ -18,8 +18,7 @@ from __future__ import annotations
 from collections import deque
 from typing import NamedTuple
 
-from .network import PhyloNetwork
-from .treebased import zigzag_trails
+from .network import PhyloNetwork, zigzag_trails
 
 _INF = float("inf")
 

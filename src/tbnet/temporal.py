@@ -11,7 +11,8 @@ than it that every path from it to a leaf meets (Menger):
 
 Nothing here needs the unit flows of :mod:`tbnet.antichains`: only the
 exhaustive route of :func:`has_antichain_to_leaf_property` loads them, and
-only the steps that read the trail walk load :mod:`tbnet.treebased`.
+only :func:`temporal_violation`, for its checked failure witness, loads
+:mod:`tbnet.treebased`.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 from operator import index
 from typing import Iterable, NamedTuple, Sequence
 
-from .network import PhyloNetwork
+from .network import PhyloNetwork, zigzag_trails
 
 DEFAULT_EXHAUSTIVE_BOUND = 18
 
@@ -183,16 +184,6 @@ def temporal_map(children: Sequence[Sequence[int]], parents: Sequence[Sequence[i
     return TemporalMap(tuple([level[g] for g in group]))
 
 
-def _zigzag_trails(net: PhyloNetwork):
-    """:func:`tbnet.treebased.zigzag_trails`, whose module loads on the
-    first call.  That call rebinds this name to it, so later calls pay no
-    import statement, which costs several times the shortcut's own work."""
-    global _zigzag_trails
-    from .treebased import zigzag_trails as _zigzag_trails
-
-    return _zigzag_trails(net)
-
-
 def has_antichain_to_leaf_property(net: PhyloNetwork, mode: str = "exhaustive") -> bool:
     """Decide whether every antichain reaches leaves disjointly.
 
@@ -209,7 +200,7 @@ def has_antichain_to_leaf_property(net: PhyloNetwork, mode: str = "exhaustive") 
     if mode == "temporal-shortcut":
         if not is_temporal(net)[0]:
             raise ValueError("temporal-shortcut mode requires a temporal network")
-        return not _zigzag_trails(net)[2]
+        return not zigzag_trails(net)[2]
     if mode != "exhaustive":
         raise ValueError(f"unknown mode {mode!r}")
     if net.num_vertices > DEFAULT_EXHAUSTIVE_BOUND:

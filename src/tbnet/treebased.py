@@ -12,8 +12,8 @@ measures quantify how far a network is from that property:
   subdivision) to make the network tree-based.
 
 All three equal the number of W-fences of the path graph, which one zig-zag
-trail walk (:func:`zigzag_trails`), kept on the network for every later
-query, counts.  It enters each fence at its end of smallest id and each
+trail walk (:func:`~tbnet.network.zigzag_trails`), kept on the network for
+every later query, counts.  It enters each fence at its end of smallest id and each
 crown at its smallest tail, and matches the arcs of each trail that point
 the way its first arc points: a maximum matching.  That matching chains a
 minimum path partition and, with each path start hung below a parent, a
@@ -28,7 +28,7 @@ from __future__ import annotations
 from itertools import count
 from typing import NamedTuple, Union
 
-from .network import Edge, PhyloNetwork, attach_leaves
+from .network import Edge, PhyloNetwork, attach_leaves, zigzag_trails
 
 
 class PathPartition(NamedTuple):
@@ -94,83 +94,6 @@ class FailureWitness(NamedTuple):
 
 
 TreeBasedCertificate = Union[BaseTreeCertificate, FailureWitness]
-
-
-def zigzag_trails(net: PhyloNetwork) -> tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    """Walk the maximal zig-zag trails of the path graph once.
-
-    The path graph, an edge (u-left, v-right) per arc (u, v), has maximum
-    degree 2 in a binary network, so it splits into zig-zag trails t0 -> h1
-    <- t1 -> h2 <- ...: crowns (cycles) and fences (paths).  Fences are
-    walked from their end of smallest id (a tail before a head of one id),
-    then crowns from their smallest tail.  Every other arc from the first
-    is taken, one direction per trail: tail -> head in a trail entered at a
-    tail, head -> tail in one entered at a head.  No matching meets a path
-    or even cycle of e arcs in more than ceil(e/2) arcs, so these are a
-    maximum matching, returned as ``succ`` and ``pred`` (``succ[u] == v``,
-    ``pred[v] == u``, else -1) with the W-fences t0, h1, t1, ..., hk, tk,
-    each from its smaller end reticulation (end tail when k = 1), sorted by
-    it: the first is the failure witness.  The first call walks and keeps
-    the triple on ``net``; later calls return it.
-    """
-    if net._trails is None:
-        net._trails = _walk(net)  # apart, so that returning a kept walk makes no closure cells
-    return net._trails
-
-
-def _walk(net: PhyloNetwork) -> tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    n = net.num_vertices
-    children, parents = net.children, net.parents
-    succ, pred = [-1] * n, [-1] * n
-    seen_t, seen_h = bytearray(n), bytearray(n)  # seen_h holds only the heads that end a fence
-
-    def tail_walk(v: int) -> list[int]:
-        ts = parents[children[v][0]]
-        t = ts[0] if ts[0] == v else ts[-1]  # the adjacency's own v, not a new int
-        trail, h = [], -1
-        while True:
-            trail.append(t)
-            seen_t[t] = 1
-            hs = children[t]
-            nh = hs[-1] if hs[0] == h else hs[0]
-            if nh == h:
-                return trail  # a tail ends the fence
-            succ[t], pred[nh] = nh, t
-            trail.append(nh)
-            ts = parents[nh]
-            h, t = nh, ts[-1] if ts[0] == t else ts[0]
-            if seen_t[t]:  # t again: a head ends the fence; else the crown closed
-                seen_h[h] = 1
-                return trail
-
-    out_degree, in_degree, fences = net.out_degree, net.in_degree, []
-    for v in range(n):
-        if out_degree[v] == 1 and not seen_t[v]:
-            trail = tail_walk(v)
-            if len(trail) % 2:  # ends at a tail too: a W-fence
-                if (trail[1], trail[0]) > (trail[-2], trail[-1]):
-                    trail.reverse()
-                fences.append(tuple(trail))
-        if in_degree[v] == 1 and not seen_h[v]:  # entered at a head: never a W-fence
-            t = parents[v][0]
-            hs = children[t]
-            h = hs[0] if hs[0] == v else hs[-1]  # the adjacency's own v, as in tail_walk
-            while True:
-                succ[t], pred[h], seen_t[t] = h, t, 1
-                nh = hs[-1] if hs[0] == h else hs[0]
-                if nh == h:
-                    break  # a tail ends the fence
-                ts = parents[nh]
-                nt = ts[-1] if ts[0] == t else ts[0]
-                if nt == t:
-                    seen_h[nh] = 1
-                    break  # a head ends the fence
-                h, t, hs = nh, nt, children[nt]
-    for v in range(n):
-        if out_degree[v] == 2 and not seen_t[v]:
-            tail_walk(v)
-    fences.sort(key=lambda f: f[1])
-    return tuple(succ), tuple(pred), tuple(fences)
 
 
 def vertex_disjoint_paths(net: PhyloNetwork) -> PathPartition:

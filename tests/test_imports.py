@@ -33,16 +33,18 @@ LOADED = (
 # which also loads inspect, ast, dis and tokenize, json, whose escaping
 # encoder the envelope needs only for strings no query writes, or hashlib,
 # which loads OpenSSL for the one SHA-256 the builtin _sha256 gives.  The
-# temporal queries never load the flows, and a network that is not
-# temporal needs no walk either.
+# temporal queries never load the flows, and they and the antichain
+# queries read the walk from network: of them, only temporal on a temporal
+# network that is not tree-based loads treebased, for its failure witness.
 NEVER = {"tbnet.matching", "fractions", "dataclasses", "json", "json.encoder",
          "hashlib", "_hashlib"}
 NOT_TREE_BASED = NEVER | {"tbnet.antichains", "tbnet.temporal", "tbnet.generate", "tbnet.dot"}
 NOT_GEN = NEVER | {"tbnet.antichains", "tbnet.dot", "tbnet.treebased"}
 TEMPORAL = NOT_TREE_BASED - {"tbnet.temporal"}
 ABSENT = {
-    ("antichain", "--max", "killer.edges"): TEMPORAL - {"tbnet.antichains"},
-    ("antichain", "--check-property", "temporal_nontb.edges"): TEMPORAL,
+    ("antichain", "--set", "x,y", "killer.nwk"): TEMPORAL - {"tbnet.antichains"} | {"tbnet.treebased"},
+    ("antichain", "--max", "killer.edges"): TEMPORAL - {"tbnet.antichains"} | {"tbnet.treebased"},
+    ("antichain", "--check-property", "temporal_nontb.edges"): TEMPORAL | {"tbnet.treebased"},
     ("temporal", "temporal_nontb.edges"): TEMPORAL,
     ("temporal", "killer.nwk"): TEMPORAL | {"tbnet.treebased"},
     ("gen", "--leaves", "5", "--retics", "2"): NOT_GEN | {"tbnet.temporal"},
@@ -64,6 +66,7 @@ def bare_modules():
     ("paths", "killer.edges"),
     ("spanning-tree", "deviation_one.nwk"),
     ("complete", "deviation_one.nwk"),
+    ("antichain", "--set", "x,y", "killer.nwk"),
     ("antichain", "--max", "killer.edges"),
     ("antichain", "--check-property", "temporal_nontb.edges"),
     ("temporal", "temporal_nontb.edges"),
@@ -164,6 +167,13 @@ def test_the_digest_comes_from_sha2_where_it_replaces_sha256(bare_modules):
     assert not {"hashlib", "_hashlib"} - bare_modules & set(proc.stderr.decode().split())
 
 
+def test_the_dot_export_loads_no_answer_module():
+    # dot.py names the tree-based records in annotations only
+    proc = run_python("-c", "import sys, tbnet.dot\n"
+                            "print(sorted(m for m in sys.modules if m.startswith('tbnet')))")
+    assert proc.stdout.decode().strip() == "['tbnet', 'tbnet.dot', 'tbnet.network']"
+
+
 def test_importing_the_package_loads_no_submodule():
     proc = run_python("-c", "import sys, tbnet\n"
                             "print(sorted(m for m in sys.modules if m.startswith('tbnet')))")
@@ -213,7 +223,7 @@ def test_every_traced_name_resolves():
 def test_antichain_answers_read_no_arc_list():
     # the antichain and tree-based queries read the adjacency construction
     # built; a read of .edges rebuilds every arc, O(m) tuples, on each access
-    for module in ("antichains", "temporal", "treebased"):
+    for module in ("antichains", "network", "temporal", "treebased"):
         with open(importlib.import_module(f"tbnet.{module}").__file__) as source:
             tree = ast.parse(source.read())
         reads = [node.lineno for node in ast.walk(tree)
@@ -225,7 +235,7 @@ def test_each_stored_structure_is_filled_by_one_module():
     # network.py declares the stores and starts them empty; only the module
     # that computes a structure fills its store, so no other code can hand
     # a query a result it did not compute
-    owner = {"_trails": "treebased.py", "_temporal": "temporal.py"}
+    owner = {"_trails": "network.py", "_temporal": "temporal.py"}
     writes, declared = set(), set()
     for path in sorted(Path(tbnet.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -239,6 +249,17 @@ def test_each_stored_structure_is_filled_by_one_module():
                 declared.add((node.value, path.name))
     assert writes == set(owner.items())
     assert declared == {(name, "network.py") for name in owner}
+
+
+def test_no_module_rebinds_its_globals():
+    # a function that rebinds a module name at run time keeps whatever that
+    # name was bound to at the time, a test's patch included, after the
+    # patch is undone
+    found = []
+    for path in sorted(Path(tbnet.__file__).parent.glob("*.py")):
+        found += [(path.name, node.lineno) for node in ast.walk(ast.parse(path.read_text()))
+                  if isinstance(node, ast.Global)]
+    assert not found
 
 
 def test_no_module_imports_another_modules_private_name():

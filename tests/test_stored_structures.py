@@ -2,6 +2,7 @@
 network object reads the same stored result, and answers what a freshly
 parsed copy answers, whatever the order of the queries."""
 
+import json
 import sys
 
 import pytest
@@ -13,7 +14,7 @@ from tbnet import (GenSpec, antichain_to_leaf, deviation_indices, generate,
 from tbnet.temporal import DEFAULT_EXHAUSTIVE_BOUND, _temporal_test
 from tbnet.treebased import zigzag_trails
 
-from conftest import corpus
+from conftest import FIXTURES, corpus, run_python
 
 NETWORKS = corpus(60, max_leaves=6, max_retics=4, seed_base=47_000)
 # Half eNewick, half edge lists, as the benchmark's corpus holds them.
@@ -60,6 +61,41 @@ def kept(monkeypatch):
             if getattr(mod, fn.__name__, None) is fn:
                 monkeypatch.setattr(mod, fn.__name__, wrapped)
     return results
+
+
+# A patch of the walk, as the fixture above and the traced benchmark make
+# it, in a fresh interpreter, where no shortcut has run yet.
+PATCH_AND_UNDO = """
+import json, sys
+import tbnet.antichains, tbnet.cli, tbnet.matching, tbnet.temporal, tbnet.treebased
+from tbnet import has_antichain_to_leaf_property, parse_edgelist
+
+original, calls = tbnet.treebased.zigzag_trails, []
+
+def recorder(net):
+    calls.append(net)
+    return original(net)
+
+saved = [mod for name, mod in sys.modules.items() if name.startswith("tbnet.")
+         and getattr(mod, "zigzag_trails", None) is original]
+for mod in saved:
+    mod.zigzag_trails = recorder
+net = parse_edgelist(open(sys.argv[1]).read())
+holds = has_antichain_to_leaf_property(net, "temporal-shortcut")
+for mod in saved:
+    mod.zigzag_trails = original
+left = sorted(f"{name}.{attr}" for name, mod in sys.modules.items() if name.startswith("tbnet")
+              for attr, value in vars(mod).items() if value is recorder)
+print(json.dumps([holds, len(calls), left]))
+"""
+
+
+def test_an_undone_patch_of_the_walk_leaves_nothing_behind():
+    proc = run_python("-c", PATCH_AND_UNDO, str(FIXTURES / "temporal_nontb.edges"))
+    assert proc.returncode == 0, proc.stderr
+    holds, calls, left = json.loads(proc.stdout)
+    assert (holds, calls) == (False, 1)
+    assert left == []
 
 
 @pytest.mark.parametrize("k", range(0, len(TEXTS), 2))
