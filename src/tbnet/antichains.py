@@ -20,7 +20,8 @@ holds descendant bitmasks.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple
+from collections import namedtuple
+from typing import Iterable
 
 from .network import PhyloNetwork, zigzag_trails
 from .temporal import (DEFAULT_EXHAUSTIVE_BOUND, TemporalMap, _unreachable, _vertices,  # noqa: F401
@@ -29,10 +30,11 @@ from .temporal import (DEFAULT_EXHAUSTIVE_BOUND, TemporalMap, _unreachable, _ver
                        verify_temporal_map)
 
 
-class DisjointPathWitness(NamedTuple):
-    """Vertex-disjoint paths, one per antichain member, each ending at a leaf."""
+class DisjointPathWitness(namedtuple("DisjointPathWitness", "paths")):
+    """Vertex-disjoint paths, one per antichain member, each ending at a
+    leaf: ``paths: tuple[tuple[int, ...], ...]``."""
 
-    paths: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
 
 def max_antichain(net: PhyloNetwork) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:

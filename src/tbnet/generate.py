@@ -25,9 +25,9 @@ here.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from itertools import compress, count
 from operator import not_
-from typing import NamedTuple
 
 from .network import PhyloNetwork, _adjacency
 
@@ -68,14 +68,13 @@ class GenerationError(RuntimeError):
     pass
 
 
-class GenSpec(NamedTuple):
+class GenSpec(namedtuple("GenSpec", "num_leaves num_reticulations seed temporal_only", defaults=(False,))):
     """What to generate: leaf count, reticulation count, seed, and whether
-    to keep sampling until the result is temporal."""
+    to keep sampling until the result is temporal.  ``num_leaves: int``,
+    ``num_reticulations: int``, ``seed: int`` and
+    ``temporal_only: bool = False``."""
 
-    num_leaves: int
-    num_reticulations: int
-    seed: int
-    temporal_only: bool = False
+    __slots__ = ()
 
 
 def _mid(a: int, e: int, b: int, f: int) -> tuple[int, int]:

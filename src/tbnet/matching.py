@@ -15,25 +15,23 @@ and is iterative throughout.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import NamedTuple
+from collections import deque, namedtuple
 
 from .network import PhyloNetwork, zigzag_trails
 
 _INF = float("inf")
 
 
-class BipartiteGraph(NamedTuple):
+class BipartiteGraph(namedtuple("BipartiteGraph", "left_ids right_ids adj")):
     """Bipartite graph with back-references into the originating network.
 
     ``left_ids[i]`` / ``right_ids[j]`` give the network vertex behind left
     index ``i`` / right index ``j``.  ``adj[i]`` lists right indices adjacent
-    to left index ``i``, ascending.
+    to left index ``i``, ascending.  ``left_ids`` and ``right_ids`` are
+    ``tuple[int, ...]``, ``adj`` a ``tuple[tuple[int, ...], ...]``.
     """
 
-    left_ids: tuple[int, ...]
-    right_ids: tuple[int, ...]
-    adj: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
     @property
     def n_left(self) -> int:
@@ -44,14 +42,14 @@ class BipartiteGraph(NamedTuple):
         return len(self.right_ids)
 
 
-class Matching(NamedTuple):
-    """A matching plus the unmatched remainder on both sides (indices)."""
+class Matching(namedtuple("Matching", "pairs left_match right_match unmatched_left unmatched_right")):
+    """A matching plus the unmatched remainder on both sides (indices).
 
-    pairs: tuple[tuple[int, int], ...]
-    left_match: tuple[int, ...]
-    right_match: tuple[int, ...]
-    unmatched_left: tuple[int, ...]
-    unmatched_right: tuple[int, ...]
+    ``pairs: tuple[tuple[int, int], ...]``; every other field is a
+    ``tuple[int, ...]``.
+    """
+
+    __slots__ = ()
 
     @property
     def size(self) -> int:

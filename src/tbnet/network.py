@@ -19,17 +19,19 @@ each access.  The label index, the zig-zag trail walk
 (:func:`zigzag_trails`, which every answer reads) and the temporal test
 are each computed on first use and kept, so every later query on the
 same object reads them.  All structures are immutable after
-construction; :func:`attach_leaves` returns a new network, built once.
-The records are ``NamedTuple``s, so they compare equal to plain tuples.
+construction; :func:`attach_leaves` splices a new network from a valid
+one and checks only what it adds.  The records subclass
+``collections.namedtuple``, so they compare equal to plain tuples.
 """
 
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from itertools import chain, compress
 from operator import index, not_
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, Sequence
 
 Edge = tuple[int, int]
 
@@ -47,17 +49,17 @@ _SIGNATURES = frozenset(((0, 2), (1, 0), (1, 2), (2, 1)))
 _NAMED_VIOLATIONS = 20
 
 
-class Violation(NamedTuple):
-    """One broken validation rule: rule id, offending ids, readable message."""
+class Violation(namedtuple("Violation", "rule subjects message")):
+    """One broken validation rule: rule id ``rule: str``, offending ids
+    ``subjects: tuple[int, ...]``, readable ``message: str``."""
 
-    rule: str
-    subjects: tuple[int, ...]
-    message: str
+    __slots__ = ()
 
 
-class ValidationReport(NamedTuple):
-    ok: bool
-    violations: tuple[Violation, ...] = ()
+class ValidationReport(namedtuple("ValidationReport", "ok violations", defaults=((),))):
+    """``ok: bool``, and ``violations: tuple[Violation, ...] = ()``."""
+
+    __slots__ = ()
 
     def summary(self) -> str:
         """The first violations and the count of the rest, so an error
@@ -77,13 +79,14 @@ class InvalidNetworkError(ValueError):
         self.report = report
 
 
-class Digraph(NamedTuple):
+class Digraph(namedtuple("Digraph", "num_vertices edges leaf_labels", defaults=(MappingProxyType({}),))):
     """A raw candidate graph, not necessarily a valid network: what
-    :func:`validate` checks."""
+    :func:`validate` checks.
 
-    num_vertices: int
-    edges: tuple[Edge, ...]
-    leaf_labels: Mapping[int, str] = MappingProxyType({})
+    ``num_vertices: int``, ``edges: tuple[Edge, ...]`` and
+    ``leaf_labels: Mapping[int, str] = MappingProxyType({})``."""
+
+    __slots__ = ()
 
 
 def validate(graph: Digraph) -> ValidationReport:
@@ -128,9 +131,9 @@ def _arc_violations(n: int, edges: Iterable[Edge]) -> tuple[Violation, ...]:
 
 def _check(kids: list, pars: list, labels: Mapping[int, str]):
     """The graph rules on the child lists ``kids`` and parent lists ``pars``
-    with ``labels``: ``(root, in_degree, out_degree, sinks)``, or None,
-    and the report, which names a self-loop as a cycle.  Each rule runs one
-    whole-graph test, and only a rule whose test fails lists its
+    with ``labels``: ``(root, in_degree, out_degree, sinks, reticulations)``,
+    or None, and the report, which names a self-loop as a cycle.  Each rule
+    runs one whole-graph test, and only a rule whose test fails lists its
     violations.  Sorts every two-entry list in place.  With every signature
     allowed no list is longer than 2, so a repeated child in a two-entry
     list is the only parallel edge there can be."""
@@ -167,13 +170,7 @@ def _check(kids: list, pars: list, labels: Mapping[int, str]):
         bad += [Violation("degree", (v,), f"vertex {v} has degree signature in={i}, out={o}")
                 for v, (i, o) in enumerate(zip(in_degree, outs)) if (i, o) not in _SIGNATURES]
     sinks = tuple(compress(range(n), map(not_, outs)))
-    names = list(labels.values())
-    try:
-        text = "\n".join(names)
-    except TypeError:  # a label that is not a string
-        text = ""
-    if not (_LABELS_RE.fullmatch(text) and text.count("\n") == len(names) - 1
-            and len(set(names)) == len(names) and labels.keys() == set(sinks)):
+    if not (_distinct_labels(list(labels.values())) and labels.keys() == set(sinks)):
         leaves, labeled = set(sinks), set(labels)
         bad += [Violation("label-not-leaf", (v,), f"label on vertex {v}, which has out-edges")
                 for v in sorted(labeled - leaves)]
@@ -188,7 +185,21 @@ def _check(kids: list, pars: list, labels: Mapping[int, str]):
                 bad.append(Violation("duplicate-label", (by_label[name], v),
                                      f"label {name!r} used by vertices {by_label[name]} and {v}"))
             by_label[name] = v
-    return (None if bad else (roots[0], in_degree, outs, sinks)), ValidationReport(not bad, tuple(bad))
+    if bad:
+        return None, ValidationReport(False, tuple(bad))
+    retics = tuple(compress(range(n), map((2).__eq__, in_degree)))
+    return (roots[0], in_degree, outs, sinks, retics), ValidationReport(True)
+
+
+def _distinct_labels(names: list) -> bool:
+    """True iff ``names`` are distinct strings of the label lexicon: one
+    match over them joined by newlines, once the newlines are counted."""
+    try:
+        text = "\n".join(names)
+    except TypeError:  # a label that is not a string
+        return False
+    return (bool(_LABELS_RE.fullmatch(text)) and text.count("\n") == len(names) - 1
+            and len(set(names)) == len(names))
 
 
 class PhyloNetwork:
@@ -200,8 +211,9 @@ class PhyloNetwork:
     and fills the fields.  ``PhyloNetwork(edges, leaf_labels)`` is its
     front end for an arc list: it refuses ids out of range and self-loops,
     then builds the lists as the readers and the generator do, whose ids
-    are dense ints by construction; :func:`attach_leaves` splices the lists
-    it is given.  Instances are
+    are dense ints by construction.  :func:`attach_leaves` alone hands the
+    core lists spliced from a network already built, with what it derived
+    of them, and skips the check.  Instances are
     immutable: adjacency tuples are computed at construction and the label
     map is exposed read-only.  ``_by_label``, ``_trails`` and ``_temporal``
     keep the label index, the walk and the temporal test, which
@@ -241,19 +253,22 @@ class PhyloNetwork:
         net._build(children, parents, leaf_labels)
         return net
 
-    def _build(self, kids: list, pars: list, labels: dict[int, str]) -> None:
+    def _build(self, kids: list, pars: list, labels: dict[int, str], accepted: tuple | None = None) -> None:
         """The construction core: accept the lists or raise, then fill the
-        fields."""
-        accepted = _check(kids, pars, labels)[0]
-        if accepted is None:  # from the arcs, validate names a self-loop in the lists as one
-            arcs = tuple((u, v) for u, vs in enumerate(kids) for v in vs)
-            raise InvalidNetworkError(validate(Digraph(len(kids), arcs, labels)))
-        self.root, self.in_degree, self.out_degree, self.leaves = accepted
-        n = self.num_vertices = len(kids)
+        fields.  A caller that derived ``(root, in_degree, out_degree,
+        sinks, reticulations)`` from a network already built passes it as
+        ``accepted``, with every entry of the lists a tuple, and the lists
+        are not checked again."""
+        if accepted is None:
+            accepted = _check(kids, pars, labels)[0]
+            if accepted is None:  # from the arcs, validate names a self-loop in the lists as one
+                arcs = tuple((u, v) for u, vs in enumerate(kids) for v in vs)
+                raise InvalidNetworkError(validate(Digraph(len(kids), arcs, labels)))
+            kids, pars = map(tuple, kids), map(tuple, pars)
+        self.root, self.in_degree, self.out_degree, self.leaves, self.reticulations = accepted
+        self.num_vertices = len(self.in_degree)
         self.leaf_labels = MappingProxyType(labels)
-        self.children = tuple(map(tuple, kids))
-        self.parents = tuple(map(tuple, pars))
-        self.reticulations = tuple(compress(range(n), map((2).__eq__, self.in_degree)))
+        self.children, self.parents = tuple(kids), tuple(pars)
         self._by_label = self._trails = self._temporal = None
 
     @property
@@ -375,21 +390,36 @@ def _walk(net: PhyloNetwork) -> tuple[tuple[int, ...], tuple[int, ...], tuple[tu
 def attach_leaves(net: PhyloNetwork, edges: Sequence[Edge], labels: Sequence[str]) -> PhyloNetwork:
     """Replace the i-th of ``edges``, an arc (u, v) of ``net``, by u -> s ->
     v, with a fresh vertex s = n + 2i, and hang a new leaf s + 1 with the
-    i-th of ``labels`` off s; the result is built once.  TypeError for an
-    id that is not an integer, ValueError for a pair that is no arc of ``net``."""
+    i-th of ``labels`` off s.  TypeError for an id that is not an integer,
+    ValueError for a pair that is no arc of ``net``.
+
+    ``net`` is valid, and a splice adds a vertex (in 1, out 2) and a leaf
+    (in 1, out 0) but no cycle or root and no other degree, so the result's
+    degrees, sinks and reticulations extend those of ``net``.  Only the new
+    labels are checked: distinct strings of the lexicon that ``net`` does
+    not use, else the whole result goes through the full check, which
+    raises :class:`InvalidNetworkError` with its report."""
+    n = net.num_vertices
     kids, pars = list(net.children), list(net.parents)
-    leaf_labels = dict(net.leaf_labels)
+    leaf_labels, names = net.leaf_labels.copy(), []
     for (u, v), label in zip(edges, labels, strict=True):
         # s exceeds every id before it: each spliced tuple stays ascending
         u, v, s = index(u), index(v), len(kids)
-        if not (0 <= u < net.num_vertices and v in kids[u]):
+        if not (0 <= u < n and v in kids[u]):
             raise ValueError(f"({u}, {v}) is not an edge of the network")
         kids[u] = tuple(w for w in kids[u] if w != v) + (s,)
         pars[v] = tuple(p for p in pars[v] if p != u) + (s,)
         kids += ((v, s + 1), ())
         pars += ((u,), (s,))
         leaf_labels[s + 1] = label
-    return PhyloNetwork.from_lists(kids, pars, leaf_labels)
+        names.append(label)
+    if names and not (_distinct_labels(names) and set(names).isdisjoint(net.leaf_labels.values())):
+        return PhyloNetwork.from_lists(kids, pars, leaf_labels)  # raises, reporting every violation
+    t = len(names)
+    out = PhyloNetwork.__new__(PhyloNetwork)
+    out._build(kids, pars, leaf_labels, (net.root, net.in_degree + (1, 1) * t, net.out_degree + (2, 0) * t,
+                                         net.leaves + tuple(range(n + 1, len(kids), 2)), net.reticulations))
+    return out
 
 
 def attach_leaf(net: PhyloNetwork, edge: Edge, label: str) -> PhyloNetwork:

@@ -17,8 +17,9 @@ only :func:`temporal_violation`, for its checked failure witness, loads
 
 from __future__ import annotations
 
+from collections import namedtuple
 from operator import index
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 from .network import PhyloNetwork, zigzag_trails
 
@@ -77,11 +78,12 @@ def separates(net: PhyloNetwork, members: Iterable[int], separator: Iterable[int
     return len(cut) < len(starts) and not any(reached[v] == 1 for v in net.leaves)
 
 
-class TemporalMap(NamedTuple):
+class TemporalMap(namedtuple("TemporalMap", "ranks")):
     """A time assignment: equal across reticulation edges, increasing along
-    tree edges.  ``ranks[v]`` is the time of vertex v."""
+    tree edges.  ``ranks: tuple[int, ...]``, where ``ranks[v]`` is the time
+    of vertex v."""
 
-    ranks: tuple[int, ...]
+    __slots__ = ()
 
 
 def verify_temporal_map(net: PhyloNetwork, tm: TemporalMap) -> None:

@@ -20,77 +20,74 @@ minimum path partition and, with each path start hung below a parent, a
 spanning tree realizing ``l``; the unmatched vertices with out-edges, that
 tree's unlabeled leaves, give a completion realizing ``t``; and the first
 W-fence is the failure witness.  The completion attaches all its leaves
-with one :func:`~tbnet.network.attach_leaves`, which builds once.
+with one :func:`~tbnet.network.attach_leaves`, which splices them into
+the network and checks only the arcs and labels it adds.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from itertools import count
-from typing import NamedTuple, Union
+from typing import Union
 
-from .network import Edge, PhyloNetwork, attach_leaves, zigzag_trails
+from .network import PhyloNetwork, attach_leaves, zigzag_trails
 
 
-class PathPartition(NamedTuple):
-    """Vertex-disjoint directed paths covering every vertex exactly once."""
+class PathPartition(namedtuple("PathPartition", "paths")):
+    """Vertex-disjoint directed paths covering every vertex exactly once:
+    ``paths: tuple[tuple[int, ...], ...]``."""
 
-    paths: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
     @property
     def size(self) -> int:
         return len(self.paths)
 
 
-class SpanningTree(NamedTuple):
-    """A rooted spanning tree, as an edge subset of the network."""
+class SpanningTree(namedtuple("SpanningTree", "edges root leaves")):
+    """A rooted spanning tree, as an edge subset of the network:
+    ``edges: tuple[Edge, ...]``, ``root: int``, ``leaves: tuple[int, ...]``."""
 
-    edges: tuple[Edge, ...]
-    root: int
-    leaves: tuple[int, ...]
+    __slots__ = ()
 
     def unlabeled_leaves(self, net: PhyloNetwork) -> tuple[int, ...]:
         labeled = set(net.leaves)
         return tuple(v for v in self.leaves if v not in labeled)
 
 
-class DeviationReport(NamedTuple):
+class DeviationReport(namedtuple("DeviationReport", "l p t u_gn x_size d")):
     """The deviation indices.  Field names follow the CLI JSON contract.
 
     l / p / t are the three measures described in the module docstring
     (provably equal); u_gn is the unmatched-left count of the path graph,
     x_size the number of labeled leaves, and d = p + x_size the size of a
-    minimum path partition.
+    minimum path partition.  Every field is an ``int``.
     """
 
-    l: int
-    p: int
-    t: int
-    u_gn: int
-    x_size: int
-    d: int
+    __slots__ = ()
 
     def as_dict(self) -> dict:
         return self._asdict()
 
 
-class BaseTreeCertificate(NamedTuple):
-    """Positive certificate: a spanning tree all of whose leaves are labeled."""
+class BaseTreeCertificate(namedtuple("BaseTreeCertificate", "tree")):
+    """Positive certificate: a spanning tree all of whose leaves are
+    labeled, ``tree: SpanningTree``."""
 
-    tree: SpanningTree
+    __slots__ = ()
 
 
-class FailureWitness(NamedTuple):
+class FailureWitness(namedtuple("FailureWitness", "rr_path u1 u2")):
     """Negative certificate read off a W-fence t0, h1, t1, ..., hk, tk.
 
     ``rr_path`` is the fence without its end tails.  ``u1`` (the tails) is
     the set of all parents of ``u2`` (the heads, all reticulations); |u1| =
     |u2| + 1 while u1's children are exactly u2, which no family of
-    vertex-disjoint leaf-bound paths can satisfy.
+    vertex-disjoint leaf-bound paths can satisfy.  Each field is a
+    ``tuple[int, ...]``.
     """
 
-    rr_path: tuple[int, ...]
-    u1: tuple[int, ...]
-    u2: tuple[int, ...]
+    __slots__ = ()
 
 
 TreeBasedCertificate = Union[BaseTreeCertificate, FailureWitness]
@@ -178,17 +175,17 @@ def check_path_partition_characterisation(net: PhyloNetwork) -> bool:
     return partition.size == len(labeled) and all(p[-1] in labeled for p in partition.paths)
 
 
-class CompletionResult(NamedTuple):
+class CompletionResult(namedtuple("CompletionResult", "network attached_edges labels")):
     """Outcome of making a network tree-based by attaching new leaves.
 
-    ``attached_edges`` are edges of the *input* network that received a new
-    pendant leaf (input vertex ids stay valid in the completed network);
-    ``labels`` are the new leaf labels, in attachment order.
+    ``network: PhyloNetwork`` is the completed network.
+    ``attached_edges: tuple[Edge, ...]`` are edges of the *input* network
+    that received a new pendant leaf (input vertex ids stay valid in the
+    completed network); ``labels: tuple[str, ...]`` are the new leaf
+    labels, in attachment order.
     """
 
-    network: PhyloNetwork
-    attached_edges: tuple[Edge, ...]
-    labels: tuple[str, ...]
+    __slots__ = ()
 
 
 def tree_based_completion(net: PhyloNetwork) -> CompletionResult:
@@ -203,7 +200,8 @@ def tree_based_completion(net: PhyloNetwork) -> CompletionResult:
     the input already uses.
     The i-th edge (u, v) becomes u -> s -> v with the new leaf s + 1, where
     s = n + 2i: :func:`~tbnet.network.attach_leaves` splices all of them
-    and builds once.  With nothing to attach, ``net`` is returned.
+    and checks only what it adds.  With nothing to attach, ``net`` is
+    returned.
     """
     succ = zigzag_trails(net)[0]
     out_degree = net.out_degree

@@ -14,7 +14,7 @@ from hypothesis import event, example, given, settings, strategies as st
 
 from tbnet import (InvalidNetworkError, PhyloNetwork, is_tree_based, parse_enewick, parse_edgelist,
                    separates)
-from tbnet import treebased
+from tbnet import network, treebased
 from tbnet.cli import SUBCOMMANDS, _build_parser, _json_text, _read_argv, main, process_main
 from tbnet.treebased import zigzag_trails
 
@@ -187,6 +187,27 @@ def test_each_query_builds_and_derives_once(capsys, monkeypatch, query, name, ex
         assert counts["topological_order"] == 0
     # only a --set token is looked up by label
     assert counts["label_index"] <= (query == ("antichain", "--set", "0"))
+
+
+@pytest.mark.parametrize("name", ["deviation_one.nwk", "killer.edges", "gen-10^4"])
+def test_complete_checks_only_the_network_it_reads(capsys, monkeypatch, tmp_path, name):
+    # the completion is spliced from the network read, which was checked
+    if name == "gen-10^4":
+        path = tmp_path / "gen.nwk"
+        assert main(["gen", "--leaves", "3000", "--retics", "2001", "--seed", "1", "--out", str(path)]) == 0
+        capsys.readouterr()
+    else:
+        path = FIXTURES / name
+    check, calls = network._check, []
+
+    def counted(*args):
+        calls.append(args)
+        return check(*args)
+
+    monkeypatch.setattr(network, "_check", counted)
+    code, env, _ = run_json(capsys, "complete", str(path))
+    assert code == 0 and env["payload"]["attachments"] > 0
+    assert len(calls) == 1
 
 
 def _as_json_dumps(out: str) -> str:

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from tbnet import network
 from tbnet import (
     Digraph,
     GenSpec,
@@ -19,7 +20,7 @@ from tbnet import (
     validate,
 )
 
-from conftest import corpus
+from conftest import corpus, load_fixture
 
 TWO_LEAF = (((0, 1), (0, 2)), {1: "a", 2: "b"}, 3)
 
@@ -117,6 +118,10 @@ def test_a_label_with_a_newline_inside_is_refused():
         (lambda: PhyloNetwork([(0, 1), (0, 2)], {1: "a\nb", 2: "c"}), 1, "a\nb"),
         (lambda: PhyloNetwork.from_lists([[1, 2], [], []], [[], [0], [0]], {1: "a\nb", 2: "c"}), 1, "a\nb"),
         (lambda: attach_leaves(tree, [(0, 1)], ["c\nd"]), 4, "c\nd"),
+        # the splice checks only its new labels: one of two, and one made
+        # of two labels the network already has
+        (lambda: attach_leaves(tree, [(0, 1), (0, 2)], ["c", "d\ne"]), 6, "d\ne"),
+        (lambda: attach_leaves(tree, [(0, 1)], ["a\nb"]), 4, "a\nb"),
     ]
     for build, leaf, label in builds:
         with pytest.raises(InvalidNetworkError) as info:
@@ -173,6 +178,47 @@ def test_attach_leaf_duplicate_label():
     net = PhyloNetwork(*TWO_LEAF)
     with pytest.raises(InvalidNetworkError):
         attach_leaf(net, (0, 1), "a")
+
+
+# A bad call raises what the full check of its whole result reports,
+# recorded from a build of that result through the check, on
+# ((a,(b)#H1),(#H1,c)); with the arcs (2, 1), (3, 0), (3, 2), (5, 2),
+# (5, 4), (6, 3) and (6, 5) and labels a, b, c on 0, 1, 4.
+_LEAF_8_IS_7 = ("bad-label", (8,), "leaf 8 has an unusable label 7")
+
+
+@pytest.mark.parametrize("edges,labels,error", [
+    ([(3, 0)], ["a"], (("duplicate-label", (0, 8), "label 'a' used by vertices 0 and 8"),)),
+    ([(3, 0), (5, 2)], ["z", "z"], (("duplicate-label", (8, 10), "label 'z' used by vertices 8 and 10"),)),
+    ([(3, 0)], [7], (_LEAF_8_IS_7,)),
+    ([(3, 0)], [[]], (("bad-label", (8,), "leaf 8 has an unusable label []"),)),
+    ([(3, 0)], [""], (("bad-label", (8,), "leaf 8 has an unusable label ''"),)),
+    ([(3, 0)], ["c\nd"], (("bad-label", (8,), "leaf 8 has an unusable label 'c\\nd'"),)),
+    ([(3, 0), (5, 2)], [7, "a"], (_LEAF_8_IS_7, ("duplicate-label", (0, 10), "label 'a' used by vertices 0 and 10"))),
+    ([(3, 0), (5, 2), (6, 5)], ["b", "b", "x y"], (
+        ("duplicate-label", (1, 8), "label 'b' used by vertices 1 and 8"),
+        ("duplicate-label", (8, 10), "label 'b' used by vertices 8 and 10"),
+        ("bad-label", (12,), "leaf 12 has an unusable label 'x y'"))),
+    # a pair that is no arc wins over a bad label, wherever it is listed
+    ([(0, 3), (3, 0)], ["z", "a"], "(0, 3) is not an edge of the network"),
+    ([(3, 0), (0, 3)], ["a", "z"], "(0, 3) is not an edge of the network"),
+    ([(3, 0), (5, 2)], ["z"], "zip() argument 2 is shorter than argument 1"),
+    ([(3, 0)], ["z", "y"], "zip() argument 2 is longer than argument 1"),
+    ([(0, 3)], ["z", "y"], "(0, 3) is not an edge of the network"),
+], ids=["existing", "twice", "int", "unhashable", "empty", "newline", "int-and-existing", "three",
+        "non-arc-first", "non-arc-last", "fewer-labels", "more-labels", "non-arc-and-more-labels"])
+def test_attach_leaves_refuses_as_the_full_build_did(edges, labels, error):
+    net = parse_enewick("((a,(b)#H1),(#H1,c));")
+    assert net.edges == ((2, 1), (3, 0), (3, 2), (5, 2), (5, 4), (6, 3), (6, 5))
+    if isinstance(error, str):
+        with pytest.raises(ValueError) as info:
+            attach_leaves(net, edges, labels)
+        assert type(info.value) is ValueError and str(info.value) == error
+    else:
+        with pytest.raises(InvalidNetworkError) as info:
+            attach_leaves(net, edges, labels)
+        assert info.value.report == (False, error)
+        assert str(info.value) == "; ".join(message for _, _, message in error)
 
 
 def test_topological_order(killer):
@@ -333,3 +379,60 @@ def test_producers_build_what_the_arc_front_end_builds():
         built += [tree_based_completion(x).network for x in built]
         for x in built:
             assert _fields(x) == _fields(PhyloNetwork(x.edges, x.leaf_labels, x.num_vertices))
+
+
+def _splices(net, rng, rounds):
+    """Arc sets to splice into ``net``: none, both out-arcs of the root and
+    of a tree vertex, both in-arcs of a reticulation, and ``rounds`` seeded
+    random sets of 1 to every arc."""
+    arcs = net.edges
+    yield ()
+    yield tuple((u, v) for u, v in arcs if u == net.root)
+    tree = [u for u in range(net.num_vertices) if net.out_degree[u] == 2 and u != net.root]
+    if tree:
+        t = rng.choice(tree)
+        yield tuple((u, v) for u, v in arcs if u == t)
+    if net.reticulations:
+        r = rng.choice(net.reticulations)
+        yield tuple((u, v) for u, v in arcs if v == r)
+    for _ in range(rounds if arcs else 0):
+        yield tuple(rng.sample(arcs, rng.randint(1, len(arcs))))
+
+
+def test_the_splice_builds_what_the_arc_front_end_builds():
+    # attach_leaves derives the degrees, sinks and reticulations of its
+    # result instead of checking it; the front end rebuilds and checks them
+    rng = random.Random(31)
+    nets = corpus(120, max_leaves=7, max_retics=6, seed_base=52_000)
+    nets += corpus(60, max_leaves=5, max_retics=5, seed_base=53_000, temporal_only=True)
+    nets += [load_fixture(name) for name in ("diamond", "deviation_one", "killer", "temporal_nontb")]
+    nets.append(PhyloNetwork((), {0: "only"}, 1))
+    spliced = 0
+    for net in nets:
+        for arcs in _splices(net, rng, rounds=3):
+            out = attach_leaves(net, arcs, [f"new_{i}" for i in range(len(arcs))])
+            assert _fields(out) == _fields(PhyloNetwork(out.edges, out.leaf_labels, out.num_vertices))
+            assert validate(Digraph(out.num_vertices, out.edges, dict(out.leaf_labels))).ok
+            spliced += len(arcs)
+    assert spliced > 2000
+
+
+def test_only_networks_entering_from_outside_are_checked(monkeypatch, deviation_one):
+    # a completion splices a network already checked; every reader, the
+    # generator and both construction routes check what they are given
+    def refuse(*args):
+        raise AssertionError("checked again")
+
+    monkeypatch.setattr(network, "_check", refuse)
+    result = tree_based_completion(deviation_one)
+    assert result.labels and result.network.num_vertices == deviation_one.num_vertices + 2
+    builds = [
+        lambda: parse_enewick(serialize_enewick(deviation_one)),
+        lambda: parse_edgelist(serialize_edgelist(deviation_one)),
+        lambda: generate(GenSpec(4, 2, seed=1)),
+        lambda: PhyloNetwork.from_lists([[1, 2], [], []], [[], [0], [0]], {1: "a", 2: "b"}),
+        lambda: PhyloNetwork(*TWO_LEAF),
+    ]
+    for build in builds:
+        with pytest.raises(AssertionError, match="checked again"):
+            build()
