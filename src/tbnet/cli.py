@@ -13,7 +13,9 @@ calls the subcommand's answer function and writes the ``--json`` envelope
 or the human lines to stdout in one write.  An answer function
 ``cmd_*(args, net)`` holds only public library calls and returns
 ``(payload, human_lines, exit_code)``, with the library's tuples in the
-payload as they are; every ``--dot`` is written by :func:`_dot`.
+payload as they are; every ``--dot`` is written by :func:`_dot`.  The
+human lines of a path list or of a maximum antichain come as an
+iterator, formatted only if the human answer is written.
 :func:`_json_text` writes the envelope, each list of edges or paths with
 one ``%`` call, and loads ``json.encoder`` only for a string that needs
 escapes.
@@ -48,7 +50,7 @@ import sys
 import time
 from itertools import chain
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, NoReturn
+from typing import TYPE_CHECKING, Iterable, Iterator, NoReturn, Sequence
 
 try:  # the builtin module (_sha2 from Python 3.12 on); hashlib would also load OpenSSL
     from _sha2 import sha256
@@ -71,7 +73,7 @@ EXT_FORMATS = {
 }
 # What an answer function returns: the --json payload, the human lines and
 # the exit code.
-Answer = tuple[dict, list[str], int]
+Answer = tuple[dict, Iterable[str], int]
 
 
 class CliError(Exception):
@@ -241,13 +243,17 @@ def cmd_indices(args, net: PhyloNetwork) -> Answer:
     return payload, [f"{k} = {v}" for k, v in payload.items()], 0
 
 
+def _path_lines(paths: Iterable[Sequence[int]]) -> Iterator[str]:
+    """A human line per path, formatted as the human answer is written."""
+    return ("  " + " -> ".join(map(str, p)) for p in paths)
+
+
 def cmd_paths(args, net: PhyloNetwork) -> Answer:
     from .treebased import vertex_disjoint_paths
 
     partition = vertex_disjoint_paths(net)
     payload = {"count": partition.size, "paths": partition.paths}
-    human = [f"paths: {partition.size}"] + [
-        "  " + " -> ".join(map(str, p)) for p in partition.paths]
+    human = chain((f"paths: {partition.size}",), _path_lines(partition.paths))
     _dot(args, net, paths=partition)
     return payload, human, 0
 
@@ -325,7 +331,8 @@ def cmd_antichain(args, net: PhyloNetwork) -> Answer:
         antichain, chains = max_antichain(net)
         payload = {"mode": "max", "antichain": antichain, "size": len(antichain),
                    "chain_cover": chains}
-        return payload, [f"maximum antichain (size {len(antichain)}): {list(antichain)}"], 0
+        # formatted only if the human answer is written
+        return payload, (f"maximum antichain (size {len(a)}): {list(a)}" for a in (antichain,)), 0
     if args.set is not None:
         from .antichains import route_to_leaves
 
@@ -337,11 +344,11 @@ def cmd_antichain(args, net: PhyloNetwork) -> Answer:
         routed = paths is not None
         payload = {"mode": "set", "set": members, "routes_to_leaves": routed,
                    "paths": paths, "separator": separator}
-        human = [f"disjoint paths to leaves: {'yes' if routed else 'no'}"]
         if routed:
-            human += ["  " + " -> ".join(map(str, p)) for p in paths]
+            human = chain(("disjoint paths to leaves: yes",), _path_lines(paths))
         else:
-            human.append(f"separator, met by every path from it to a leaf: {list(separator)}")
+            human = ["disjoint paths to leaves: no",
+                     f"separator, met by every path from it to a leaf: {list(separator)}"]
         return payload, human, 0 if routed else 1
     # --check-property
     from .temporal import has_antichain_to_leaf_property, is_temporal

@@ -192,8 +192,14 @@ def has_antichain_to_leaf_property(net: PhyloNetwork, mode: str = "exhaustive") 
     ``exhaustive`` checks every *maximal* antichain, which suffices: if
     A is contained in a maximal antichain B and B has |B| disjoint paths,
     restricting that family to the paths starting in A witnesses A.  The
-    mode refuses networks larger than ``DEFAULT_EXHAUSTIVE_BOUND`` vertices
-    (no polynomial algorithm is claimed for the general property).
+    trail walk's minimum path partition routes most of them without a
+    flow: no path holds two members of an antichain, so when every member
+    lies on a path that ends at a leaf, the tails of those paths are |A|
+    disjoint routes, and only :func:`_unreachable` runs, to check that the
+    enumeration gave an antichain.  :func:`~tbnet.antichains.route_to_leaves`
+    decides the rest.  The mode refuses networks larger than
+    ``DEFAULT_EXHAUSTIVE_BOUND`` vertices (no polynomial algorithm is
+    claimed for the general property).
 
     ``temporal-shortcut`` requires a temporal network and uses the
     equivalence with tree-basedness there: the property holds iff the
@@ -208,13 +214,27 @@ def has_antichain_to_leaf_property(net: PhyloNetwork, mode: str = "exhaustive") 
     if net.num_vertices > DEFAULT_EXHAUSTIVE_BOUND:
         raise ValueError(f"exhaustive antichain check limited to {DEFAULT_EXHAUSTIVE_BOUND} vertices "
                          f"(got {net.num_vertices})")
-    # a loop, not all() over a generator: a local the generator read would
-    # be a cell, made on every call, the shortcut's included
     from .antichains import maximal_antichains, route_to_leaves
 
+    # The vertices on a path of the walk's partition that ends at a leaf,
+    # marked back from each leaf along ``pred``.
+    pred = zigzag_trails(net)[1]
+    leaf_ended = bytearray(net.num_vertices)
+    for v in net.leaves:
+        while v >= 0:
+            leaf_ended[v] = 1
+            v = pred[v]
+    # map(), not all() over a generator: a local the generator read would
+    # be a cell, made on every call, the shortcut's included
     try:
         for antichain in maximal_antichains(net):
-            if route_to_leaves(net, antichain)[0] is None:
+            members = _vertices(net, antichain)
+            if all(map(leaf_ended.__getitem__, members)):
+                # no path holds two members of an antichain, so the tails
+                # of their paths are disjoint routes to leaves: no flow
+                if not _unreachable(net, members):
+                    raise ValueError("input vertex set is not an antichain")
+            elif route_to_leaves(net, members)[0] is None:
                 return False
     except ValueError as exc:  # each is an antichain of ids in range, by construction
         raise RuntimeError(f"the exhaustive route refused its own antichain: {exc}") from exc

@@ -5,6 +5,7 @@ from itertools import islice
 
 import pytest
 
+import tbnet.antichains as antichains
 from tbnet import (
     BipartiteGraph,
     GenSpec,
@@ -197,6 +198,53 @@ def test_property_mode_errors(killer):
     big = generate(GenSpec(8, 4, seed=3))  # 23 vertices
     with pytest.raises(ValueError, match=r"^exhaustive antichain check limited to 18 vertices \(got 23\)$"):
         has_antichain_to_leaf_property(big)
+
+
+@pytest.mark.parametrize("faulty, why", [
+    (lambda net: (net.root, net.leaves[0]), "input vertex set is not an antichain"),
+    (lambda net: (net.leaves[0], net.num_vertices), "vertex 7 out of range"),
+], ids=["comparable", "out-of-range"])
+def test_the_route_still_checks_antichains_the_path_tails_route(diamond, monkeypatch, faulty, why):
+    # the diamond is tree-based, so every path of the walk's partition ends
+    # at a leaf and the root and a leaf both lie on one: only the antichain
+    # check stands between a faulty enumeration and a "holds"
+    assert is_tree_based(diamond)[0] and diamond.num_vertices == 7
+    monkeypatch.setattr(antichains, "maximal_antichains", lambda net: iter([faulty(net)]))
+    with pytest.raises(RuntimeError, match=rf"^the exhaustive route refused its own antichain: {why}$"):
+        has_antichain_to_leaf_property(diamond)
+
+
+def test_the_path_tails_never_replace_a_verdict(monkeypatch):
+    # every antichain the route passes without a flow is one the flow
+    # routes too, and the verdicts are the oracle's
+    enumerate_all, route = antichains.maximal_antichains, antichains.route_to_leaves
+    yielded, flowed = [], []
+
+    def spy_enumerate(net):
+        for antichain in enumerate_all(net):
+            yielded.append(antichain)
+            yield antichain
+
+    def spy_route(net, members):
+        flowed.append(tuple(members))
+        return route(net, members)
+
+    monkeypatch.setattr(antichains, "maximal_antichains", spy_enumerate)
+    monkeypatch.setattr(antichains, "route_to_leaves", spy_route)
+    certified = flows = deviating = 0
+    for net in corpus(400, seed_base=20_000, max_vertices=14):
+        if net.num_vertices == 1:
+            continue
+        yielded.clear()
+        flowed.clear()
+        assert has_antichain_to_leaf_property(net) == oracle_antichain_to_leaf_property(net), net.edges
+        passed = set(yielded).difference(flowed)
+        for antichain in passed:
+            assert route(net, antichain)[0] is not None, (net.edges, antichain)
+        certified += len(passed)
+        flows += len(flowed)
+        deviating += deviation_indices(net).p > 0
+    assert certified and flows and deviating >= 30, (certified, flows, deviating)
 
 
 def test_tree_based_implies_property():
@@ -394,8 +442,12 @@ def reference_temporal_test(net):
 @functools.cache
 def _temporal_corpus():
     """Temporal networks of up to 5 leaves and 5 reticulations, about a
-    third of them not tree-based; generated once for the tests below."""
-    return corpus(19_500, max_leaves=5, max_retics=5, seed_base=70_000, temporal_only=True)
+    third of them not tree-based; generated once per session, about 20 s
+    of rejection sampling, and shared by the two tests below.  Neither
+    needs a fresh network: one decides with ``_temporal_test``, which
+    keeps nothing, and the other only adds the walk and the temporal
+    answer a network keeps."""
+    return tuple(corpus(19_500, max_leaves=5, max_retics=5, seed_base=70_000, temporal_only=True))
 
 
 def _no_exit(net):
