@@ -23,15 +23,15 @@ _EXPORTS = {
     ),
     "dot": ("export_dot",),
     "edgelist": ("parse_edgelist", "serialize_edgelist", "vertex_names"),
-    "enewick": ("ParseError", "parse_enewick", "serialize_enewick"),
+    "enewick": ("parse_enewick", "serialize_enewick"),
     "generate": ("GenSpec", "GenerationError", "SplitMix64", "generate"),
     "matching": (
         "BipartiteGraph", "Matching", "build_gn", "build_zn", "find_rr_path",
         "max_matching", "min_vertex_cover", "reticulation_saturating",
     ),
     "network": (
-        "Digraph", "InvalidNetworkError", "PhyloNetwork", "ValidationReport",
-        "Violation", "attach_leaf", "attach_leaves", "validate",
+        "Digraph", "InvalidNetworkError", "ParseError", "PhyloNetwork",
+        "ValidationReport", "Violation", "attach_leaf", "attach_leaves", "validate",
     ),
     "temporal": (
         "TemporalMap", "has_antichain_to_leaf_property", "is_antichain", "is_temporal",

@@ -20,14 +20,14 @@ iterator, formatted only if the human answer is written.
 one ``%`` call, and loads ``json.encoder`` only for a string that needs
 escapes.
 
-Each answer function imports the modules it runs, so a query loads only
-its own layers: ``check``, ``indices``, ``paths``, ``spanning-tree`` and
-``complete`` load ``network``, the reader and ``treebased``;
-``temporal`` loads ``temporal``, and ``treebased`` only for a temporal
-network that is not tree-based; ``antichain --max`` and ``--set`` load
-``antichains``, and ``--check-property`` loads ``temporal``, adding
+Each function imports the modules it runs, so a query loads only its own
+layers: ``network`` and its input's reader always, and ``enewick`` to
+write for ``complete`` and ``gen``; ``treebased`` for ``check``,
+``indices``, ``paths``, ``spanning-tree`` and ``complete``; ``temporal``,
+never ``treebased``, for ``temporal``; ``antichains`` for ``antichain
+--max`` and ``--set``, and ``temporal`` for ``--check-property``, adding
 ``antichains`` only on a network that is not temporal; ``generate`` and
-``dot`` load only where they are used.
+``dot`` only where they are used.
 No subcommand loads ``matching``, the reference route, ``dataclasses``,
 ``json`` or ``hashlib``; the input digest comes from the builtin ``_sha2``
 or ``_sha256``.  One option table, :data:`SUBCOMMANDS`, declares every
@@ -61,8 +61,7 @@ except ImportError:
         from hashlib import sha256
 
 from . import __version__
-from .enewick import ParseError, parse_enewick, serialize_enewick
-from .network import InvalidNetworkError, PhyloNetwork, zigzag_trails
+from .network import InvalidNetworkError, ParseError, PhyloNetwork, zigzag_trails
 
 if TYPE_CHECKING:
     import argparse
@@ -113,10 +112,10 @@ def _load(args) -> tuple[PhyloNetwork, str]:
         raise CliError(
             f"cannot infer format from {args.input!r}; pass --format enewick|edgelist")
     if fmt == "enewick":
-        return parse_enewick(text), digest
-    from .edgelist import parse_edgelist
-
-    return parse_edgelist(text), digest
+        from .enewick import parse_enewick as parse
+    else:
+        from .edgelist import parse_edgelist as parse
+    return parse(text), digest
 
 
 def _write_network(path: str, net: PhyloNetwork, enewick_text: str) -> None:
@@ -277,6 +276,7 @@ def cmd_spanning_tree(args, net: PhyloNetwork) -> Answer:
 
 
 def cmd_complete(args, net: PhyloNetwork) -> Answer:
+    from .enewick import serialize_enewick
     from .treebased import deviation_indices, tree_based_completion
 
     result = tree_based_completion(net)
@@ -398,6 +398,8 @@ def _generate(args) -> tuple[PhyloNetwork, None]:
 
 
 def cmd_gen(args, net: PhyloNetwork) -> Answer:
+    from .enewick import serialize_enewick
+
     text = serialize_enewick(net)
     payload = {"leaves": args.leaves, "retics": args.retics, "seed": args.seed,
                "temporal_only": args.temporal,

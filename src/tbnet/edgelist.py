@@ -9,8 +9,7 @@ the one-vertex network.
 
 from __future__ import annotations
 
-from .enewick import ParseError
-from .network import PhyloNetwork, _adjacency
+from .network import ParseError, PhyloNetwork, _adjacency
 
 
 def parse_edgelist(text: str) -> PhyloNetwork:

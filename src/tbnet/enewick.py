@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import re
 
-from .network import LABEL_RE, PhyloNetwork, _adjacency
+from .network import LABEL_RE, ParseError, PhyloNetwork, _adjacency
 
 # The tokens, one per match: punctuation, a hybrid tag or a label.  A scan
 # skips what matches none of them, so the reader checks that it skipped
@@ -37,19 +37,6 @@ _TOKEN_RE = re.compile(rf"[(),;]|#H\d+|{LABEL_RE.pattern}")
 # What the reader holds between tokens: nothing, a leaf label, a finished
 # vertex id (a hybrid tag was read), or a group's children, unnamed or named.
 _NONE, _LEAF, _DONE, _GROUP, _NAMED = range(5)
-
-
-class ParseError(ValueError):
-    """Input text rejected, with position information.  Lines are numbered
-    as ``str.splitlines`` splits them, the rule both readers share."""
-
-    def __init__(self, message: str, text: str, offset: int):
-        self.offset = offset
-        # a character that breaks no line closes the offset's own line
-        lines = (text[:offset] + "x").splitlines()
-        self.line = len(lines)
-        self.column = len(lines[-1])
-        super().__init__(f"{message} (line {self.line}, column {self.column})")
 
 
 def _lexical_error(text: str) -> ParseError:

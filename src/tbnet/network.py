@@ -79,6 +79,19 @@ class InvalidNetworkError(ValueError):
         self.report = report
 
 
+class ParseError(ValueError):
+    """Input text that a reader, eNewick or edge list, rejects, at ``offset``:
+    ``line`` and ``column`` count lines as ``str.splitlines`` splits them."""
+
+    def __init__(self, message: str, text: str, offset: int):
+        self.offset = offset
+        # a character that breaks no line closes the offset's own line
+        lines = (text[:offset] + "x").splitlines()
+        self.line = len(lines)
+        self.column = len(lines[-1])
+        super().__init__(f"{message} (line {self.line}, column {self.column})")
+
+
 class Digraph(namedtuple("Digraph", "num_vertices edges leaf_labels", defaults=(MappingProxyType({}),))):
     """A raw candidate graph, not necessarily a valid network: what
     :func:`validate` checks.

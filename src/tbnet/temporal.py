@@ -4,15 +4,15 @@ A temporal map gives each vertex a time: strictly increasing along tree
 edges, constant along reticulation edges.  On a network that admits one,
 the antichain-to-leaf property (every antichain A admits |A|
 vertex-disjoint directed paths from its members to leaves) holds iff the
-network is tree-based.  There the failure witness's W-fence yields a
-failing antichain and, for the same price, a vertex separator smaller
-than it that every path from it to a leaf meets (Menger):
+network is tree-based.  There the walk's first W-fence yields a failing
+antichain and, for the same price, a vertex separator smaller than it
+that every path from it to a leaf meets (Menger):
 :func:`separates` checks that certificate in linear time without any flow.
 
-Nothing here needs the unit flows of :mod:`tbnet.antichains`: only the
-exhaustive route of :func:`has_antichain_to_leaf_property` loads them, and
-only :func:`temporal_violation`, for its checked failure witness, loads
-:mod:`tbnet.treebased`.
+Nothing here needs the unit flows of :mod:`tbnet.antichains` or the
+certificates of :mod:`tbnet.treebased`: the W-fences come from the walk
+the network keeps, and only the exhaustive route of
+:func:`has_antichain_to_leaf_property` loads the flows.
 """
 
 from __future__ import annotations
@@ -245,26 +245,24 @@ def temporal_violation(net: PhyloNetwork) -> tuple[tuple[int, ...], tuple[int, .
     """For a temporal, non-tree-based network: an antichain A with no
     disjoint routing to the leaves, and a separator S that proves it.
 
-    Both come from the failure witness's W-fence t0, h1, t1, ..., hk, tk,
-    to which a temporal map gives one time.  A tail can reach another
+    Both come from the walk's first W-fence t0, h1, t1, ..., hk, tk, to
+    which a temporal map gives one time.  A tail can reach another
     tail only along reticulation edges, through a head, and only the end
     tails t0 and tk are reticulations: A is the tails minus the end tails
     some head reaches.  S is the heads minus those dropped tails and the
     reticulations above them along reticulation edges.  A path from a
     head to a dropped tail runs through reticulations alone, each with one
     child, on into a head, so every path from A to a leaf meets S, and
-    |S| < |A|.  The code trusts no argument: :func:`is_antichain` and
-    :func:`separates` check the pair, each in O(n + m), and a failure
-    raises RuntimeError.
+    |S| < |A|.  The code trusts neither this argument nor the fence:
+    :func:`is_antichain` and :func:`separates` check the pair, each in
+    O(n + m), and a failure raises RuntimeError.
     """
     if not is_temporal(net)[0]:
         raise ValueError("network is not temporal")
-    from .treebased import is_tree_based
-
-    based, witness = is_tree_based(net)
-    if based:
+    fences = zigzag_trails(net)[2]
+    if not fences:
         raise ValueError("network is tree-based; no violating antichain exists")
-    tails, heads = witness.u1, witness.u2
+    tails, heads = fences[0][0::2], fences[0][1::2]
     below = _reachable(net, heads)
     stack = [v for v in (tails[0], tails[-1]) if below[v]]
     antichain = tuple(sorted(set(tails).difference(stack)))

@@ -111,6 +111,18 @@ def reaches_a_leaf(net: PhyloNetwork, starts, avoid) -> bool:
     return False
 
 
+def corpus_shapes(max_leaves: int, max_retics: int, max_vertices: int | None = None):
+    """The (leaves, reticulations) shapes :func:`corpus` cycles through, in
+    its order: every shape within the bounds but the impossible (1, 1)."""
+    return [
+        (L, r)
+        for L in range(1, max_leaves + 1)
+        for r in range(0, max_retics + 1)
+        if (L, r) != (1, 1)
+        and (max_vertices is None or 2 * L + 2 * r - 1 <= max_vertices)
+    ]
+
+
 def corpus(count: int, max_leaves: int = 6, max_retics: int = 4,
            seed_base: int = 0, temporal_only: bool = False,
            max_vertices: int | None = None):
@@ -120,13 +132,7 @@ def corpus(count: int, max_leaves: int = 6, max_retics: int = 4,
     skipping the impossible (1, 1) shape and, for temporal_only, any shape
     the rejection budget gives up on.
     """
-    shapes = [
-        (L, r)
-        for L in range(1, max_leaves + 1)
-        for r in range(0, max_retics + 1)
-        if (L, r) != (1, 1)
-        and (max_vertices is None or 2 * L + 2 * r - 1 <= max_vertices)
-    ]
+    shapes = corpus_shapes(max_leaves, max_retics, max_vertices)
     out = []
     seed = seed_base
     while len(out) < count:

@@ -2,12 +2,14 @@ import functools
 import hashlib
 import time
 from itertools import islice
+from pathlib import Path
 
 import pytest
 
 import tbnet.antichains as antichains
 from tbnet import (
     BipartiteGraph,
+    GenerationError,
     GenSpec,
     PhyloNetwork,
     TemporalMap,
@@ -27,11 +29,13 @@ from tbnet import (
     rooted_spanning_tree,
     route_to_leaves,
     separates,
+    serialize_enewick,
     temporal_violating_antichain,
     temporal_violation,
     verify_temporal_map,
     vertex_disjoint_paths,
 )
+from tbnet.generate import TEMPORAL_ATTEMPTS
 from tbnet.temporal import _temporal_test
 from tbnet.treebased import zigzag_trails
 from tbnet.oracles import (
@@ -42,7 +46,8 @@ from tbnet.oracles import (
     oracle_temporal,
 )
 
-from conftest import FIXTURES, corpus, ladder, reaches_a_leaf, run_python
+from conftest import (FIXTURES, corpus, corpus_shapes, ladder, load_fixture, reaches_a_leaf,
+                      run_python)
 
 
 def test_is_antichain_basics(killer):
@@ -439,15 +444,67 @@ def reference_temporal_test(net):
     return True, tm
 
 
+# The temporal corpus is what ``corpus(19_500, max_leaves=5, max_retics=5,
+# seed_base=70_000, temporal_only=True)`` builds by rejection sampling, about
+# 18 s.  The record holds, per seed in corpus order, the attempt that
+# ``generate`` accepted, or "-" where it gave up; the pin is the SHA-256 of
+# the corpus's eNewick texts, one per line, as rejection sampling built them.
+TEMPORAL_RECORD = Path(__file__).with_name("temporal_corpus.txt")
+TEMPORAL_CORPUS_SHA256 = "06fd65812c0acf02308748d2bcc98f3fa96ba59608bac9e8d6d5428aea8c1b29"
+TEMPORAL_SEED_BASE = 70_000
+TEMPORAL_SHAPES = corpus_shapes(5, 5)
+
+
+def _temporal_record() -> list[int | None]:
+    """The accepted attempt of each seed, None where ``generate`` gave up."""
+    return [None if line == "-" else int(line)
+            for line in TEMPORAL_RECORD.read_text().splitlines() if not line.startswith("#")]
+
+
+def _attempt_spec(i: int, attempt: int) -> GenSpec:
+    """The spec that builds attempt ``attempt`` of entry ``i`` with no
+    rejection: ``generate`` draws attempt a of seed s from s ^ a * K."""
+    seed = (TEMPORAL_SEED_BASE + i) ^ attempt * 0xA5A5B5B5C5C5D5D5
+    return GenSpec(*TEMPORAL_SHAPES[i % len(TEMPORAL_SHAPES)], seed=seed & (2**64 - 1))
+
+
 @functools.cache
 def _temporal_corpus():
     """Temporal networks of up to 5 leaves and 5 reticulations, about a
-    third of them not tree-based; generated once per session, about 20 s
-    of rejection sampling, and shared by the two tests below.  Neither
-    needs a fresh network: one decides with ``_temporal_test``, which
-    keeps nothing, and the other only adds the walk and the temporal
-    answer a network keeps."""
-    return tuple(corpus(19_500, max_leaves=5, max_retics=5, seed_base=70_000, temporal_only=True))
+    third of them not tree-based, rebuilt from the record with one
+    ``generate`` each, under a second, and shared by the tests below.
+    None needs a fresh network: one decides with ``_temporal_test``,
+    which keeps nothing, and the others only add the walk and the
+    temporal answer a network keeps."""
+    return tuple(generate(_attempt_spec(i, attempt))
+                 for i, attempt in enumerate(_temporal_record()) if attempt is not None)
+
+
+def test_the_temporal_corpus_is_the_one_rejection_sampling_built():
+    record, nets = _temporal_record(), _temporal_corpus()
+    assert (len(record), record.count(None), len(nets)) == (21_762, 2_262, 19_500)
+    text = "\n".join(map(serialize_enewick, nets))
+    assert hashlib.sha256(text.encode()).hexdigest() == TEMPORAL_CORPUS_SHA256
+    assert all(is_temporal(net)[0] for net in nets)
+
+
+def test_the_temporal_record_matches_rejection_sampling():
+    # every 64th entry, re-derived by a rejection loop of its own and
+    # checked against what generate builds, or its refusal on a skip
+    record, skips = _temporal_record(), 0
+    for i in range(0, len(record), 64):
+        spec = GenSpec(*TEMPORAL_SHAPES[i % len(TEMPORAL_SHAPES)], TEMPORAL_SEED_BASE + i, True)
+        attempt = next((a for a in range(TEMPORAL_ATTEMPTS)
+                        if is_temporal(generate(_attempt_spec(i, a)))[0]), None)
+        assert attempt == record[i], i
+        if attempt is None:
+            skips += 1
+            with pytest.raises(GenerationError):
+                generate(spec)
+        else:
+            rebuilt = generate(_attempt_spec(i, attempt))
+            assert serialize_enewick(generate(spec)) == serialize_enewick(rebuilt), i
+    assert skips >= 2
 
 
 def _no_exit(net):
@@ -547,6 +604,45 @@ def test_the_violation_keeps_its_antichain_and_its_separator_holds():
         found += 1
         dropped += len(antichain) < len(is_tree_based(net)[1].u1)
     assert found >= 31 + 7000 and dropped >= 4000  # the ladders and DROPPED_HEAD, then the corpus
+
+
+# Fences no walk gives: the first W-fence cut short at either end, a lone
+# tail, and reversed minus one vertex.
+BOGUS_FENCES = {
+    "cut short at the start": lambda fence: fence[1:],
+    "cut short at the end": lambda fence: fence[:-1],
+    "a lone tail": lambda fence: fence[:1],
+    "reversed minus one vertex": lambda fence: fence[-2::-1],
+}
+
+
+@pytest.mark.parametrize("bogus", BOGUS_FENCES)
+def test_the_violation_trusts_no_fence(bogus):
+    # temporal_violation reads the walk's first fence unchecked, so a bogus
+    # one must end in RuntimeError.  On the fixture every one does.  On a
+    # corpus network a bogus fence may still name a violating antichain;
+    # a pair returned there must pass checks that share no code with
+    # is_antichain or separates.
+    nets = [load_fixture("temporal_nontb")]  # fresh: each gets a bogus walk
+    nets += [net for net in (generate(_attempt_spec(i, attempt))
+                             for i, attempt in enumerate(_temporal_record()[:60])
+                             if attempt is not None) if zigzag_trails(net)[2]]
+    refused = 0
+    for net in nets:
+        succ, pred, fences = zigzag_trails(net)
+        net._trails = succ, pred, (BOGUS_FENCES[bogus](fences[0]),) + fences[1:]
+        try:
+            antichain, separator = temporal_violation(net)
+        except RuntimeError as exc:
+            refused += 1
+            if net is nets[0]:
+                assert str(exc) == "the heads left do not cut the antichain off the leaves"
+            continue
+        assert net is not nets[0], "a bogus fence on the fixture gave a pair"
+        reach = _reach_sets(net)
+        assert not any(reach[v] & set(antichain) for v in antichain), net.edges
+        assert len(separator) < len(antichain) and not reaches_a_leaf(net, antichain, separator)
+    assert len(nets) >= 8 and refused >= len(nets) - 1
 
 
 def test_the_separator_check_refuses_mutants():

@@ -33,19 +33,27 @@ LOADED = (
 # which also loads inspect, ast, dis and tokenize, json, whose escaping
 # encoder the envelope needs only for strings no query writes, or hashlib,
 # which loads OpenSSL for the one SHA-256 the builtin _sha256 gives.  The
-# temporal queries never load the flows, and they and the antichain
-# queries read the walk from network: of them, only temporal on a temporal
-# network that is not tree-based loads treebased, for its failure witness.
+# temporal and antichain queries read the walk from network and never load
+# treebased, and the temporal queries never load the flows.  A query on an
+# edge list loads enewick only for complete, which writes the network it
+# answers with in eNewick.
 NEVER = {"tbnet.matching", "fractions", "dataclasses", "json", "json.encoder",
          "hashlib", "_hashlib"}
 NOT_TREE_BASED = NEVER | {"tbnet.antichains", "tbnet.temporal", "tbnet.generate", "tbnet.dot"}
 NOT_GEN = NEVER | {"tbnet.antichains", "tbnet.dot", "tbnet.treebased"}
 TEMPORAL = NOT_TREE_BASED - {"tbnet.temporal"}
+EDGES = {"tbnet.enewick"}
 ABSENT = {
+    ("check", "deviation_one.edges"): NOT_TREE_BASED | EDGES,
+    ("indices", "killer.edges"): NOT_TREE_BASED | EDGES,
+    ("paths", "killer.edges"): NOT_TREE_BASED | EDGES,
+    ("spanning-tree", "deviation_one.edges"): NOT_TREE_BASED | EDGES,
     ("antichain", "--set", "x,y", "killer.nwk"): TEMPORAL - {"tbnet.antichains"} | {"tbnet.treebased"},
-    ("antichain", "--max", "killer.edges"): TEMPORAL - {"tbnet.antichains"} | {"tbnet.treebased"},
-    ("antichain", "--check-property", "temporal_nontb.edges"): TEMPORAL | {"tbnet.treebased"},
-    ("temporal", "temporal_nontb.edges"): TEMPORAL,
+    ("antichain", "--set", "x,y", "killer.edges"):
+        TEMPORAL - {"tbnet.antichains"} | {"tbnet.treebased"} | EDGES,
+    ("antichain", "--max", "killer.edges"): TEMPORAL - {"tbnet.antichains"} | {"tbnet.treebased"} | EDGES,
+    ("antichain", "--check-property", "temporal_nontb.edges"): TEMPORAL | {"tbnet.treebased"} | EDGES,
+    ("temporal", "temporal_nontb.edges"): TEMPORAL | {"tbnet.treebased"} | EDGES,
     ("temporal", "killer.nwk"): TEMPORAL | {"tbnet.treebased"},
     ("gen", "--leaves", "5", "--retics", "2"): NOT_GEN | {"tbnet.temporal"},
     ("gen", "--leaves", "5", "--retics", "2", "--temporal"): NOT_GEN,
@@ -63,10 +71,14 @@ def bare_modules():
     ("check", "diamond.nwk"),
     ("check", "deviation_one.edges"),
     ("indices", "killer.nwk"),
+    ("indices", "killer.edges"),
     ("paths", "killer.edges"),
     ("spanning-tree", "deviation_one.nwk"),
+    ("spanning-tree", "deviation_one.edges"),
     ("complete", "deviation_one.nwk"),
+    ("complete", "deviation_one.edges"),
     ("antichain", "--set", "x,y", "killer.nwk"),
+    ("antichain", "--set", "x,y", "killer.edges"),
     ("antichain", "--max", "killer.edges"),
     ("antichain", "--check-property", "temporal_nontb.edges"),
     ("temporal", "temporal_nontb.edges"),
@@ -172,6 +184,17 @@ def test_the_dot_export_loads_no_answer_module():
     proc = run_python("-c", "import sys, tbnet.dot\n"
                             "print(sorted(m for m in sys.modules if m.startswith('tbnet')))")
     assert proc.stdout.decode().strip() == "['tbnet', 'tbnet.dot', 'tbnet.network']"
+
+
+def test_the_edge_list_reader_loads_no_enewick():
+    # ParseError lives in the model, beside InvalidNetworkError
+    proc = run_python("-c", "import sys, tbnet.edgelist\n"
+                            "print(sorted(m for m in sys.modules if m.startswith('tbnet')))")
+    assert proc.stdout.decode().strip() == "['tbnet', 'tbnet.edgelist', 'tbnet.network']"
+    import tbnet.edgelist
+    import tbnet.enewick
+
+    assert tbnet.enewick.ParseError is tbnet.edgelist.ParseError is tbnet.ParseError
 
 
 def test_importing_the_package_loads_no_submodule():
